@@ -107,8 +107,7 @@ Result<ProblemSpec> Engine::EffectiveSpec(const ProblemSpec& spec) const {
   return effective;
 }
 
-Result<Solution> Engine::Solve(const ProblemSpec& spec, SolverKind solver,
-                               const SolverOptions& options) const {
+Result<ProblemSpec> Engine::ValidatedSpec(const ProblemSpec& spec) const {
   Result<ProblemSpec> effective = EffectiveSpec(spec);
   UBE_RETURN_IF_ERROR(effective.status());
   UBE_RETURN_IF_ERROR(
@@ -120,6 +119,13 @@ Result<Solution> Engine::Solve(const ProblemSpec& spec, SolverKind solver,
         "θ is below the engine's similarity floor; rebuild the engine with a "
         "lower Options::similarity_floor");
   }
+  return effective;
+}
+
+Result<Solution> Engine::Solve(const ProblemSpec& spec, SolverKind solver,
+                               const SolverOptions& options) const {
+  Result<ProblemSpec> effective = ValidatedSpec(spec);
+  UBE_RETURN_IF_ERROR(effective.status());
   obs::Tracer::Span evaluate_span = obs::SpanIf(obs_, "phase/evaluate");
   // The live version is the cache epoch: a shared cache warmed before a
   // churn event can never answer for the evolved universe.
@@ -325,10 +331,9 @@ Result<ContinuousReport> Engine::RunContinuous(
 Result<CandidateEvaluator::Evaluation> Engine::EvaluateCandidate(
     const ProblemSpec& spec, std::vector<SourceId> sources) const {
   const Universe& universe = live_.universe();
-  Result<ProblemSpec> resolved = EffectiveSpec(spec);
+  Result<ProblemSpec> resolved = ValidatedSpec(spec);
   UBE_RETURN_IF_ERROR(resolved.status());
   const ProblemSpec& effective = resolved.value();
-  UBE_RETURN_IF_ERROR(CandidateEvaluator::ValidateSpec(universe, effective));
   for (SourceId s : sources) {
     UBE_RETURN_IF_ERROR(universe.ValidateId(s));
   }
@@ -361,7 +366,6 @@ Result<CandidateEvaluator::Evaluation> Engine::EvaluateCandidate(
       return Status::InvalidArgument("candidate contains a banned source");
     }
   }
-  UBE_RETURN_IF_ERROR(CandidateEvaluator::ValidateOverlay(model_, effective));
   CandidateEvaluator evaluator(universe, live_.matcher(), model_, effective,
                                static_cast<uint64_t>(live_.version()));
   return evaluator.Evaluate(sources);
@@ -370,12 +374,8 @@ Result<CandidateEvaluator::Evaluation> Engine::EvaluateCandidate(
 Result<std::vector<SourceId>> Engine::RepairSeed(
     const ProblemSpec& spec, const std::vector<SourceId>& incumbent,
     const RepairOptions& options) const {
-  Result<ProblemSpec> effective = EffectiveSpec(spec);
+  Result<ProblemSpec> effective = ValidatedSpec(spec);
   UBE_RETURN_IF_ERROR(effective.status());
-  UBE_RETURN_IF_ERROR(
-      CandidateEvaluator::ValidateSpec(live_.universe(), effective.value()));
-  UBE_RETURN_IF_ERROR(
-      CandidateEvaluator::ValidateOverlay(model_, effective.value()));
   CandidateEvaluator evaluator(live_.universe(), live_.matcher(), model_,
                                effective.value(),
                                static_cast<uint64_t>(live_.version()));

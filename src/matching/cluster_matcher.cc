@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "util/check.h"
@@ -14,10 +12,15 @@ namespace ube {
 
 namespace {
 
-// Working representation of one cluster during Algorithm 1.
+// One cluster of Algorithm 1. Its attributes form an intrusive list through
+// MatchScratch::next (dense attribute indices), so a merge splices two lists
+// in O(1) and keeps the first operand's attributes ahead of the second's.
+// Its sources are a bitset over positions in sorted S, stored in
+// MatchScratch::source_bits.
 struct Cluster {
-  std::vector<int> attrs;        // dense attribute indices
-  std::vector<SourceId> sources; // sorted; one entry per attribute
+  int head = -1;                 // first attribute (dense index)
+  int tail = -1;                 // last attribute
+  int size = 0;                  // number of attributes
   double quality = 0.0;          // max pairwise similarity so far
   bool keep = false;             // grew from (or is) a user GA constraint
   bool retired = false;          // finalized into the output, no more merges
@@ -32,29 +35,62 @@ struct Cluster {
   bool Active() const { return Live() && !retired; }
 };
 
-// True iff the two sorted source lists share no element (merging yields a
-// valid GA).
-bool SourcesDisjoint(const std::vector<SourceId>& a,
-                     const std::vector<SourceId>& b) {
-  auto i = a.begin();
-  auto j = b.begin();
-  while (i != a.end() && j != b.end()) {
-    if (*i < *j) {
-      ++i;
-    } else if (*j < *i) {
-      ++j;
-    } else {
-      return false;
-    }
-  }
-  return true;
-}
+// A similarity-graph edge at >= θ between two attributes of S (u < v).
+struct ThetaEdge {
+  int u;
+  int v;
+  float similarity;
+};
 
 struct PairCandidate {
   float similarity;
   int c1;  // c1 < c2
   int c2;
 };
+
+// Per-thread working memory reused across Match calls, so a call allocates
+// only its result. Between calls every cluster_of entry is -1; a call sets
+// the entries of S's attributes and restores them on every exit path
+// (ScratchReset). cluster_of and next are indexed by dense attribute and
+// grow to the largest graph the thread has matched over.
+struct MatchScratch {
+  std::vector<int> cluster_of;        // dense attr -> cluster, or -1
+  std::vector<int> next;              // dense attr -> next in its cluster
+  std::vector<SourceId> sorted;       // S, sorted
+  std::vector<int> attrs;             // dense attrs of S, sorted-S order
+  std::vector<Cluster> clusters;
+  std::vector<uint64_t> source_bits;  // clusters.size() blocks of words
+  std::vector<uint64_t> covered;      // sources touched by the output
+  std::vector<ThetaEdge> edges;
+  std::vector<PairCandidate> pairs;
+};
+
+MatchScratch& Scratch() {
+  thread_local MatchScratch scratch;
+  return scratch;
+}
+
+// Restores cluster_of to all -1 over S's attributes when the call exits.
+class ScratchReset {
+ public:
+  explicit ScratchReset(MatchScratch* scratch) : scratch_(scratch) {}
+  ~ScratchReset() {
+    for (int dense : scratch_->attrs) {
+      scratch_->cluster_of[static_cast<size_t>(dense)] = -1;
+    }
+  }
+  ScratchReset(const ScratchReset&) = delete;
+  ScratchReset& operator=(const ScratchReset&) = delete;
+
+ private:
+  MatchScratch* scratch_;
+};
+
+// Position of `s` in sorted S (s must be a member).
+size_t PositionIn(const std::vector<SourceId>& sorted, SourceId s) {
+  return static_cast<size_t>(
+      std::lower_bound(sorted.begin(), sorted.end(), s) - sorted.begin());
+}
 
 }  // namespace
 
@@ -97,17 +133,23 @@ Result<MatchResult> ClusterMatcher::Match(
   }
 
   // --- Input validation -----------------------------------------------
-  std::unordered_set<SourceId> in_s;
+  MatchScratch& scratch = Scratch();
+  std::vector<SourceId>& sorted = scratch.sorted;
   for (SourceId s : sources) {
     if (s < 0 || s >= universe_.num_sources()) {
       return Status::InvalidArgument("source id out of range");
     }
-    if (!in_s.insert(s).second) {
-      return Status::InvalidArgument("duplicate source id in S");
-    }
   }
+  sorted.assign(sources.begin(), sources.end());
+  std::sort(sorted.begin(), sorted.end());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    return Status::InvalidArgument("duplicate source id in S");
+  }
+  auto in_s = [&sorted](SourceId s) {
+    return std::binary_search(sorted.begin(), sorted.end(), s);
+  };
   for (SourceId c : source_constraints) {
-    if (!in_s.contains(c)) {
+    if (!in_s(c)) {
       return Status::InvalidArgument(
           "source constraint not contained in S (callers must ensure C ⊆ S)");
     }
@@ -118,7 +160,7 @@ Result<MatchResult> ClusterMatcher::Match(
       return Status::InvalidArgument("GA constraint is not a valid GA");
     }
     for (const AttributeId& id : g.attributes()) {
-      if (!in_s.contains(id.source)) {
+      if (!in_s(id.source)) {
         return Status::InvalidArgument(
             "GA constraint references a source outside S");
       }
@@ -136,66 +178,116 @@ Result<MatchResult> ClusterMatcher::Match(
   }
 
   // --- Initialization (Algorithm 1 lines 1-4) --------------------------
-  std::vector<Cluster> clusters;
-  // cluster_of[dense attr index] -> cluster index, or -1 if not in S.
-  std::vector<int> cluster_of(static_cast<size_t>(graph_.num_attributes()),
-                              -1);
+  const size_t num_graph_attrs = static_cast<size_t>(graph_.num_attributes());
+  if (scratch.cluster_of.size() < num_graph_attrs) {
+    scratch.cluster_of.resize(num_graph_attrs, -1);
+    scratch.next.resize(num_graph_attrs, -1);
+  }
+  scratch.attrs.clear();
+  for (SourceId s : sorted) {
+    const int width = universe_.source(s).schema().num_attributes();
+    for (int a = 0; a < width; ++a) {
+      scratch.attrs.push_back(graph_.DenseIndex(AttributeId{s, a}));
+    }
+  }
+  ScratchReset reset(&scratch);
+  std::vector<int>& cluster_of = scratch.cluster_of;
+  std::vector<int>& next = scratch.next;
+  std::vector<Cluster>& clusters = scratch.clusters;
+  std::vector<uint64_t>& bits = scratch.source_bits;
+  const size_t words = (sorted.size() + 63) / 64;
+  clusters.clear();
+  bits.clear();
+
+  // Appends a cluster with the given attribute list head..tail and a
+  // zeroed source bitset block; returns its index.
+  auto add_cluster = [&](Cluster c) {
+    const int idx = static_cast<int>(clusters.size());
+    for (int x = c.head; x != -1; x = next[static_cast<size_t>(x)]) {
+      cluster_of[static_cast<size_t>(x)] = idx;
+    }
+    clusters.push_back(c);
+    bits.resize(bits.size() + words, 0);
+    return idx;
+  };
+  auto set_bit = [&](int cluster, size_t position) {
+    bits[static_cast<size_t>(cluster) * words + position / 64] |=
+        uint64_t{1} << (position % 64);
+  };
 
   for (const GlobalAttribute& g : ga_constraints) {
     Cluster c;
     c.keep = true;
     for (const AttributeId& id : g.attributes()) {
-      int dense = graph_.DenseIndex(id);
-      c.attrs.push_back(dense);
-      c.sources.push_back(id.source);
+      const int dense = graph_.DenseIndex(id);
+      next[static_cast<size_t>(dense)] = -1;
+      if (c.head == -1) {
+        c.head = dense;
+      } else {
+        next[static_cast<size_t>(c.tail)] = dense;
+      }
+      c.tail = dense;
+      ++c.size;
     }
-    std::sort(c.sources.begin(), c.sources.end());
     // Quality of a user GA: max pairwise similarity (no threshold applies);
     // a single-attribute GA is perfectly coherent with itself.
-    if (c.attrs.size() == 1) {
+    if (c.size == 1) {
       c.quality = 1.0;
     } else {
       double best = 0.0;
-      for (size_t i = 0; i < c.attrs.size(); ++i) {
-        for (size_t j = i + 1; j < c.attrs.size(); ++j) {
-          best = std::max(best,
-                          graph_.PairSimilarity(c.attrs[i], c.attrs[j]));
+      for (int x = c.head; x != -1; x = next[static_cast<size_t>(x)]) {
+        for (int y = next[static_cast<size_t>(x)]; y != -1;
+             y = next[static_cast<size_t>(y)]) {
+          best = std::max(best, graph_.PairSimilarity(x, y));
         }
       }
       c.quality = best;
     }
-    int idx = static_cast<int>(clusters.size());
-    for (int dense : c.attrs) cluster_of[static_cast<size_t>(dense)] = idx;
-    clusters.push_back(std::move(c));
+    const int idx = add_cluster(c);
+    for (const AttributeId& id : g.attributes()) {
+      set_bit(idx, PositionIn(sorted, id.source));
+    }
   }
 
-  // Remaining attributes of S as singleton clusters. Iterate sources in
-  // sorted order for determinism.
-  std::vector<SourceId> sorted_sources = sources;
-  std::sort(sorted_sources.begin(), sorted_sources.end());
-  for (SourceId s : sorted_sources) {
-    const SourceSchema& schema = universe_.source(s).schema();
-    for (int a = 0; a < schema.num_attributes(); ++a) {
-      int dense = graph_.DenseIndex(AttributeId{s, a});
+  // Remaining attributes of S as singleton clusters, in sorted-S order for
+  // determinism.
+  for (size_t k = 0, p = 0; p < sorted.size(); ++p) {
+    const int width = universe_.source(sorted[p]).schema().num_attributes();
+    for (int a = 0; a < width; ++a, ++k) {
+      const int dense = scratch.attrs[k];
       if (cluster_of[static_cast<size_t>(dense)] != -1) continue;  // in G
+      next[static_cast<size_t>(dense)] = -1;
       Cluster c;
-      c.attrs.push_back(dense);
-      c.sources.push_back(s);
-      c.quality = 0.0;
-      cluster_of[static_cast<size_t>(dense)] =
-          static_cast<int>(clusters.size());
-      clusters.push_back(std::move(c));
+      c.head = dense;
+      c.tail = dense;
+      c.size = 1;
+      set_bit(add_cluster(c), p);
+    }
+  }
+
+  // The θ-edges among S's attributes, gathered once. Every attribute of S
+  // has a cluster now, so cluster_of tells membership in S.
+  const float theta = static_cast<float>(options.theta);
+  std::vector<ThetaEdge>& edges = scratch.edges;
+  edges.clear();
+  for (int u : scratch.attrs) {
+    // Rows are sorted by neighbor: walk the tail past u from the end, so
+    // each edge is seen once and the row's head is never touched.
+    const std::vector<SimilarityGraph::Edge>& row = graph_.EdgesOf(u);
+    for (auto e = row.rbegin(); e != row.rend() && e->neighbor > u; ++e) {
+      if (e->similarity < theta) continue;
+      if (cluster_of[static_cast<size_t>(e->neighbor)] == -1) continue;
+      edges.push_back(ThetaEdge{u, e->neighbor, e->similarity});
     }
   }
 
   // --- Merge rounds (Algorithm 1 lines 5-23) ---------------------------
-  MatchResult result;
-  const float theta = static_cast<float>(options.theta);
+  int rounds = 0;
+  std::vector<PairCandidate>& pairs = scratch.pairs;
   bool done = false;
   while (!done) {
     done = true;
-    ++result.rounds;
-    const size_t round_start_size = clusters.size();
+    ++rounds;
     for (Cluster& c : clusters) {
       c.round_merged = false;
       c.round_mergecand = false;
@@ -203,35 +295,38 @@ Result<MatchResult> ClusterMatcher::Match(
     }
 
     // Line 8: all active-cluster pairs with similarity >= θ, max-linkage.
-    std::unordered_map<uint64_t, float> pair_sim;
-    for (size_t ci = 0; ci < round_start_size; ++ci) {
-      if (!clusters[ci].Active()) continue;
-      for (int u : clusters[ci].attrs) {
-        for (const SimilarityGraph::Edge& e : graph_.EdgesOf(u)) {
-          if (e.similarity < theta) continue;
-          int cj = cluster_of[static_cast<size_t>(e.neighbor)];
-          if (cj < 0 || static_cast<size_t>(cj) == ci) continue;
-          if (!clusters[static_cast<size_t>(cj)].Active()) continue;
-          uint64_t key =
-              ci < static_cast<size_t>(cj)
-                  ? (static_cast<uint64_t>(ci) << 32) | static_cast<uint32_t>(cj)
-                  : (static_cast<uint64_t>(cj) << 32) | static_cast<uint32_t>(ci);
-          auto [it, inserted] = pair_sim.try_emplace(key, e.similarity);
-          if (!inserted && e.similarity > it->second) {
-            it->second = e.similarity;
-          }
-        }
+    // An edge whose endpoints share a cluster, or touch a retired or
+    // discarded one, can never link two active clusters again, so it is
+    // dropped for the remaining rounds.
+    pairs.clear();
+    size_t live_edges = 0;
+    for (const ThetaEdge& e : edges) {
+      int c1 = cluster_of[static_cast<size_t>(e.u)];
+      int c2 = cluster_of[static_cast<size_t>(e.v)];
+      if (c1 < 0 || c2 < 0 || c1 == c2) continue;
+      if (!clusters[static_cast<size_t>(c1)].Active() ||
+          !clusters[static_cast<size_t>(c2)].Active()) {
+        continue;
       }
+      edges[live_edges++] = e;
+      if (c1 > c2) std::swap(c1, c2);
+      pairs.push_back(PairCandidate{e.similarity, c1, c2});
     }
-
-    std::vector<PairCandidate> heap;
-    heap.reserve(pair_sim.size());
-    for (const auto& [key, sim] : pair_sim) {
-      heap.push_back(PairCandidate{sim, static_cast<int>(key >> 32),
-                                   static_cast<int>(key & 0xffffffffu)});
-    }
-    // Highest similarity first; deterministic tie-break on cluster ids.
-    std::sort(heap.begin(), heap.end(),
+    edges.resize(live_edges);
+    // One candidate per cluster pair at its max similarity, then highest
+    // similarity first with a deterministic tie-break on cluster ids.
+    std::sort(pairs.begin(), pairs.end(),
+              [](const PairCandidate& a, const PairCandidate& b) {
+                if (a.c1 != b.c1) return a.c1 < b.c1;
+                if (a.c2 != b.c2) return a.c2 < b.c2;
+                return a.similarity > b.similarity;
+              });
+    pairs.erase(std::unique(pairs.begin(), pairs.end(),
+                            [](const PairCandidate& a, const PairCandidate& b) {
+                              return a.c1 == b.c1 && a.c2 == b.c2;
+                            }),
+                pairs.end());
+    std::sort(pairs.begin(), pairs.end(),
               [](const PairCandidate& a, const PairCandidate& b) {
                 if (a.similarity != b.similarity) {
                   return a.similarity > b.similarity;
@@ -241,49 +336,54 @@ Result<MatchResult> ClusterMatcher::Match(
               });
 
     // Lines 9-19.
-    for (const PairCandidate& cand : heap) {
-      Cluster& c1 = clusters[static_cast<size_t>(cand.c1)];
-      Cluster& c2 = clusters[static_cast<size_t>(cand.c2)];
+    for (const PairCandidate& cand : pairs) {
+      const Cluster& c1 = clusters[static_cast<size_t>(cand.c1)];
+      const Cluster& c2 = clusters[static_cast<size_t>(cand.c2)];
       if (!c1.round_merged && !c2.round_merged) {
-        if (!SourcesDisjoint(c1.sources, c2.sources)) continue;  // invalid GA
+        // A valid GA has at most one attribute per source.
+        const uint64_t* b1 = &bits[static_cast<size_t>(cand.c1) * words];
+        const uint64_t* b2 = &bits[static_cast<size_t>(cand.c2) * words];
+        bool disjoint = true;
+        for (size_t w = 0; w < words; ++w) disjoint &= (b1[w] & b2[w]) == 0;
+        if (!disjoint) continue;
         // Merge c1 and c2 into a new cluster.
         Cluster merged;
-        merged.attrs = c1.attrs;
-        merged.attrs.insert(merged.attrs.end(), c2.attrs.begin(),
-                            c2.attrs.end());
-        merged.sources.resize(c1.sources.size() + c2.sources.size());
-        std::merge(c1.sources.begin(), c1.sources.end(), c2.sources.begin(),
-                   c2.sources.end(), merged.sources.begin());
+        merged.head = c1.head;
+        merged.tail = c2.tail;
+        merged.size = c1.size + c2.size;
+        next[static_cast<size_t>(c1.tail)] = c2.head;
         merged.quality =
             std::max({c1.quality, c2.quality,
                       static_cast<double>(cand.similarity)});
         // A single-attribute user GA had quality 1.0 by convention; once it
         // actually merges, the real max-pairwise value takes over.
-        if (c1.keep && c1.attrs.size() == 1 && !c2.keep) {
+        if (c1.keep && c1.size == 1 && !c2.keep) {
           merged.quality = std::max(c2.quality,
                                     static_cast<double>(cand.similarity));
-        } else if (c2.keep && c2.attrs.size() == 1 && !c1.keep) {
+        } else if (c2.keep && c2.size == 1 && !c1.keep) {
           merged.quality = std::max(c1.quality,
                                     static_cast<double>(cand.similarity));
-        } else if (c1.keep && c1.attrs.size() == 1 && c2.keep &&
-                   c2.attrs.size() == 1) {
+        } else if (c1.keep && c1.size == 1 && c2.keep && c2.size == 1) {
           merged.quality = cand.similarity;
         }
         merged.keep = c1.keep || c2.keep;
         merged.newly_created = true;
-        int new_idx = static_cast<int>(clusters.size());
-        for (int a : merged.attrs) cluster_of[static_cast<size_t>(a)] = new_idx;
-        c1.absorbed = true;
-        c1.round_merged = true;
-        c2.absorbed = true;
-        c2.round_merged = true;
-        clusters.push_back(std::move(merged));
-        // Note: clusters may have reallocated; c1/c2 references are dead now.
+        for (int i : {cand.c1, cand.c2}) {
+          clusters[static_cast<size_t>(i)].absorbed = true;
+          clusters[static_cast<size_t>(i)].round_merged = true;
+        }
+        // add_cluster may reallocate: c1/c2 references are dead after it.
+        const int idx = add_cluster(merged);
+        for (size_t w = 0; w < words; ++w) {
+          bits[static_cast<size_t>(idx) * words + w] =
+              bits[static_cast<size_t>(cand.c1) * words + w] |
+              bits[static_cast<size_t>(cand.c2) * words + w];
+        }
       } else if (c1.round_merged != c2.round_merged) {
         // Exactly one was already merged this round: keep the other for the
         // next round (lines 15-19).
-        Cluster& survivor = c1.round_merged ? c2 : c1;
-        survivor.round_mergecand = true;
+        const int survivor = c1.round_merged ? cand.c2 : cand.c1;
+        clusters[static_cast<size_t>(survivor)].round_mergecand = true;
         done = false;
       } else {
         // Both already merged this round. The two *new* clusters may still
@@ -297,40 +397,67 @@ Result<MatchResult> ClusterMatcher::Match(
     // Lines 20-22: eliminate clusters that found no partner this round.
     // Merged multi-attribute clusters are retired into the output;
     // singletons are discarded. keep clusters always survive.
-    for (size_t ci = 0; ci < clusters.size(); ++ci) {
-      Cluster& c = clusters[ci];
+    for (Cluster& c : clusters) {
       if (!c.Active()) continue;
       if (c.newly_created || c.round_mergecand || c.keep) continue;
-      if (c.attrs.size() >= 2) {
+      if (c.size >= 2) {
         c.retired = true;
       } else {
         c.discarded = true;
-        for (int a : c.attrs) cluster_of[static_cast<size_t>(a)] = -1;
+        cluster_of[static_cast<size_t>(c.head)] = -1;
       }
     }
   }
 
   // --- Output assembly --------------------------------------------------
+  auto emitted = [&options](const Cluster& c) {
+    if (!c.Live()) return false;
+    if (!c.keep && c.size < options.beta) return false;
+    return c.keep || c.size >= 2;  // never emit bare singletons
+  };
+
+  // Line 24: M must be valid on the source constraints C. The GAs are
+  // disjoint and valid by construction, so validity is C-coverage: every
+  // constrained source has an attribute in some emitted GA.
+  std::vector<uint64_t>& covered = scratch.covered;
+  covered.assign(words, 0);
+  size_t num_emitted = 0;
+  for (size_t ci = 0; ci < clusters.size(); ++ci) {
+    if (!emitted(clusters[ci])) continue;
+    ++num_emitted;
+    for (size_t w = 0; w < words; ++w) covered[w] |= bits[ci * words + w];
+  }
+  for (SourceId s : source_constraints) {
+    const size_t p = PositionIn(sorted, s);
+    if ((covered[p / 64] >> (p % 64) & 1) == 0) {
+      MatchResult failed;
+      failed.valid = false;
+      failed.matching_quality = 0.0;
+      failed.rounds = rounds;
+      return failed;
+    }
+  }
+
+  MatchResult result;
+  result.rounds = rounds;
+  std::vector<GlobalAttribute> gas;
+  gas.reserve(num_emitted);
+  result.ga_qualities.reserve(num_emitted);
+  result.ga_from_constraint.reserve(num_emitted);
   for (const Cluster& c : clusters) {
-    if (!c.Live()) continue;
-    if (!c.keep && static_cast<int>(c.attrs.size()) < options.beta) continue;
-    if (!c.keep && c.attrs.size() < 2) continue;  // never emit bare singletons
+    if (!emitted(c)) continue;
     std::vector<AttributeId> ids;
-    ids.reserve(c.attrs.size());
-    for (int dense : c.attrs) ids.push_back(graph_.AttrId(dense));
-    result.schema.Add(GlobalAttribute(std::move(ids)));
+    ids.reserve(static_cast<size_t>(c.size));
+    for (int x = c.head; x != -1; x = next[static_cast<size_t>(x)]) {
+      ids.push_back(graph_.AttrId(x));
+    }
+    gas.emplace_back(std::move(ids));
     result.ga_qualities.push_back(c.quality);
     result.ga_from_constraint.push_back(c.keep);
   }
-
-  // Line 24: M must be valid on the source constraints C.
-  if (!result.schema.IsValidOn(source_constraints)) {
-    MatchResult failed;
-    failed.valid = false;
-    failed.matching_quality = 0.0;
-    failed.rounds = result.rounds;
-    return failed;
-  }
+  result.schema = MediatedSchema(std::move(gas));
+  UBE_DCHECK(result.schema.IsValidOn(source_constraints),
+             "Match output must be disjoint, valid and cover C");
 
   result.valid = true;
   if (!result.ga_qualities.empty()) {

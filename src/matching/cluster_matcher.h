@@ -75,6 +75,9 @@ class ClusterMatcher {
   /// outside `sources`. An infeasible (but well-formed) matching — the
   /// result is not valid on the source constraints — returns a MatchResult
   /// with valid == false and quality 0, not an error.
+  ///
+  /// Safe to call concurrently: the working memory is per thread and is
+  /// reused across calls, so a call allocates only its result.
   Result<MatchResult> Match(
       const std::vector<SourceId>& sources,
       const std::vector<SourceId>& source_constraints,

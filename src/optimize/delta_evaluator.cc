@@ -18,22 +18,12 @@ DeltaEvaluator::DeltaEvaluator(const CandidateEvaluator& evaluator,
   const QualityModel& model = evaluator.model();
   const Universe& universe = evaluator.universe();
 
-  // Every QEF must offer an incremental scorer, or the whole model falls
-  // back to full evaluation (a matching QEF's Match(S) cannot be
-  // delta-maintained, and a partial delta would break per-QEF bit-identity).
-  for (int i = 0; i < model.num_qefs(); ++i) {
-    std::unique_ptr<QefDeltaScorer> scorer =
-        model.qef(i).MakeDeltaScorer(universe);
-    if (scorer == nullptr) {
-      scorers_.clear();
-      weights_.clear();
-      return;
-    }
-    scorers_.push_back(std::move(scorer));
-    // The evaluator's *effective* weights (spec overlay or model weights),
-    // so a session's overlay flows through the delta path bit-identically
-    // to the full path.
-    weights_.push_back(evaluator.effective_weights()[static_cast<size_t>(i)]);
+  // Every QEF must have a scorer table, or the whole model falls back to
+  // full evaluation (a matching QEF's Match(S) cannot be delta-maintained,
+  // and a partial delta would break per-QEF bit-identity). The tables, the
+  // effective weights and the denominators are the evaluator's own.
+  for (const std::unique_ptr<QefDeltaScorer>& scorer : evaluator.scorers_) {
+    if (scorer == nullptr) return;
   }
   active_ = true;
 
@@ -53,16 +43,6 @@ DeltaEvaluator::DeltaEvaluator(const CandidateEvaluator& evaluator,
         policy.weight * static_cast<double>(source.cardinality());
     e.admitted = policy.admit_signature && source.has_signature();
     if (e.admitted) e.signature = &source.signature();
-  }
-
-  // Policy-adjusted denominators — the same Universe aggregates MakeContext
-  // reads per evaluation, so the values (and bits) are identical.
-  if (model.degradation().policy == DegradationPolicy::kExcludeRenormalize) {
-    universe_cardinality_ = universe.FreshCardinality();
-    universe_union_estimate_ = universe.FreshUnionCardinalityEstimate();
-  } else {
-    universe_cardinality_ = universe.TotalCardinality();
-    universe_union_estimate_ = universe.UnionCardinalityEstimate();
   }
 
   // The word-wise union fast path needs every admitted signature to be a
@@ -107,8 +87,8 @@ void DeltaEvaluator::FillScalars(const std::vector<SourceId>& candidate,
     ++ctx->cooperating_count;
     ctx->cooperating_cardinality += e.contribution;
   }
-  ctx->universe_cardinality = universe_cardinality_;
-  ctx->universe_union_estimate = universe_union_estimate_;
+  ctx->universe_cardinality = evaluator_->denominators_.cardinality;
+  ctx->universe_union_estimate = evaluator_->denominators_.union_estimate;
 }
 
 double DeltaEvaluator::UnionFromScratch(
@@ -208,18 +188,6 @@ double DeltaEvaluator::UnionForMove(const SearchState::Move& move) {
   return PcsaSketch::EstimateFromBitmaps(scratch_);
 }
 
-QualityBreakdown DeltaEvaluator::Score(const EvalContext& ctx) const {
-  // The delta replica of QualityModel::Evaluate for a matching-free model:
-  // same per-QEF order, same weighted accumulation order.
-  QualityBreakdown out;
-  out.scores.resize(scorers_.size(), 0.0);
-  for (size_t i = 0; i < scorers_.size(); ++i) {
-    out.scores[i] = scorers_[i]->Score(ctx);
-    out.overall += weights_[i] * out.scores[i];
-  }
-  return out;
-}
-
 QualityBreakdown DeltaEvaluator::Compute(
     const std::vector<SourceId>& candidate) {
   UBE_CHECK(active_, "DeltaEvaluator::Compute requires an active delta path");
@@ -230,7 +198,8 @@ QualityBreakdown DeltaEvaluator::Compute(
   EvalContext ctx;
   FillScalars(candidate, &ctx);
   ctx.union_estimate = UnionFromScratch(candidate);
-  return Score(ctx);
+  return evaluator_->model().Evaluate(ctx, evaluator_->effective_weights(),
+                                      evaluator_->scorers_);
 }
 
 double DeltaEvaluator::ComputeForMove(const SearchState::Move& move,
@@ -243,7 +212,9 @@ double DeltaEvaluator::ComputeForMove(const SearchState::Move& move,
   FillScalars(candidate, &ctx);
   ctx.union_estimate =
       pcsa_uniform_ ? UnionForMove(move) : UnionFromScratch(candidate);
-  return Score(ctx).overall;
+  return evaluator_->model()
+      .Evaluate(ctx, evaluator_->effective_weights(), evaluator_->scorers_)
+      .overall;
 }
 
 double DeltaEvaluator::Quality(const std::vector<SourceId>& candidate) {

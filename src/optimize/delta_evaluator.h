@@ -16,19 +16,20 @@ namespace ube {
 /// Incremental candidate scoring for the solvers' neighborhood loops.
 ///
 /// The full path (CandidateEvaluator::Evaluate) rebuilds per-candidate state
-/// from the universe on every call: it re-applies the degradation policy to
-/// each member, clones and merges distinct signatures into a fresh union, and
-/// lets QEFs like CharacteristicQef rescan the whole universe for their
-/// min/max normalization. A single-flip neighbor shares almost all of that
-/// work with its base candidate. DeltaEvaluator hoists everything that does
-/// not depend on S to construction time — per-source policy weights and
-/// cardinality contributions, the characteristic normalization tables, the
-/// policy-adjusted universe denominators — and maintains running per-source
-/// PCSA sketch unions for the current base candidate (prefix/suffix OR
-/// arrays), so a flip's union is two word-wise ORs instead of |S| clones and
-/// merges. Removal re-ORs from the per-source sketches (OR has no inverse);
-/// a base change (commit or restart reset) rebases the arrays, which is the
-/// only "full" recomputation the steady state ever does.
+/// on every call: it re-applies the degradation policy to each member and
+/// clones and merges distinct signatures into a fresh union. A single-flip
+/// neighbor shares almost all of that work with its base candidate.
+/// DeltaEvaluator applies the policy once per source at construction
+/// (per-source weights and cardinality contributions), borrows the wrapped
+/// evaluator's universe tables — the QEF scorer tables, the effective
+/// weights and the policy-adjusted denominators — and scores through the
+/// same weighted sum (QualityModel::Evaluate with scorers). It maintains
+/// running per-source PCSA sketch unions for the current base candidate
+/// (prefix/suffix OR arrays), so a flip's union is two word-wise ORs
+/// instead of |S| clones and merges. Removal re-ORs from the per-source
+/// sketches (OR has no inverse); a base change (commit or restart reset)
+/// rebases the arrays, which is the only "full" recomputation the steady
+/// state ever does.
 ///
 /// Bit-identity contract: every score this class returns is bit-identical to
 /// the full path for the same candidate, for any thread count. That holds
@@ -42,7 +43,7 @@ namespace ube {
 /// for the composite Q(S) on random flip sequences.
 ///
 /// Fallback rule: the delta path is active only when `enable` is set AND
-/// every QEF of the model provides a QefDeltaScorer. Models with a matching
+/// every QEF of the model has a scorer table. Models with a matching
 /// (or schema-coverage, or user-lambda) QEF need Match(S) — which is not
 /// incrementally maintainable — so for them every method forwards verbatim
 /// to the wrapped CandidateEvaluator and behavior is unchanged, including
@@ -67,8 +68,8 @@ class DeltaEvaluator {
   DeltaEvaluator(const DeltaEvaluator&) = delete;
   DeltaEvaluator& operator=(const DeltaEvaluator&) = delete;
 
-  /// True when delta scoring is in effect (enabled and every QEF offered a
-  /// scorer); false means every call forwards to the full evaluator.
+  /// True when delta scoring is in effect (enabled and every QEF has a
+  /// scorer table); false means every call forwards to the full evaluator.
   bool active() const { return active_; }
 
   const CandidateEvaluator& evaluator() const { return *evaluator_; }
@@ -134,20 +135,13 @@ class DeltaEvaluator {
   /// Compute without cache, union via the move against the current base.
   double ComputeForMove(const SearchState::Move& move,
                         const std::vector<SourceId>& candidate);
-  /// Runs the per-QEF scorers over a prepared context — the delta replica
-  /// of QualityModel::Evaluate's weighted sum.
-  QualityBreakdown Score(const EvalContext& ctx) const;
   /// Rebuilds the admitted-member prefix/suffix unions for a new base.
   void Rebase(const std::vector<SourceId>& base);
 
   const CandidateEvaluator* evaluator_;
   bool active_ = false;
 
-  std::vector<std::unique_ptr<QefDeltaScorer>> scorers_;
-  std::vector<double> weights_;
   std::vector<SourceEntry> entries_;
-  int64_t universe_cardinality_ = 0;
-  double universe_union_estimate_ = 0.0;
 
   /// True when every admitted signature is a PcsaSignature of one width.
   bool pcsa_uniform_ = false;

@@ -171,20 +171,22 @@ CandidateEvaluator::CandidateEvaluator(const Universe& universe,
       required_(ComputeRequired(spec)),
       banned_(SortedUnique(spec.banned_sources)),
       effective_weights_(spec.weight_overlay.empty() ? model.weights()
-                                                     : spec.weight_overlay) {
+                                                     : spec.weight_overlay),
+      needs_match_(model.NeedsMatching()),
+      denominators_(model.UniverseDenominators(universe)) {
   Status status = ValidateSpec(universe, spec);
   UBE_CHECK(status.ok(), "invalid ProblemSpec: " + status.ToString());
-  status = ValidateOverlay(model, spec);
-  UBE_CHECK(status.ok(), "invalid weight overlay: " + status.ToString());
+  // Evaluate does not re-validate per call, so the weights it runs under
+  // (the spec's overlay or the model's own) are checked once, here.
+  status = model.ValidateWeightVector(effective_weights_);
+  UBE_CHECK(status.ok(), "invalid weights: " + status.ToString());
   spec_fingerprint_ = ComputeSpecFingerprint(universe, model, spec,
                                              effective_weights_, banned_,
                                              cache_epoch);
-  // Force the universe's lazily built union signatures now, while we are
-  // still single-threaded: MakeContext reads one of them (which, depends on
-  // the degradation policy) on every evaluation and the lazy build mutates
-  // Universe state.
-  universe_.UnionSignature();
-  universe_.FreshUnionSignature();
+  scorers_.reserve(static_cast<size_t>(model.num_qefs()));
+  for (int i = 0; i < model.num_qefs(); ++i) {
+    scorers_.push_back(model.qef(i).MakeDeltaScorer(universe));
+  }
 }
 
 Status CandidateEvaluator::ValidateOverlay(const QualityModel& model,
@@ -280,7 +282,7 @@ CandidateEvaluator::Evaluation CandidateEvaluator::Evaluate(
   evaluations_.fetch_add(1, std::memory_order_relaxed);
   if (obs_.ctx != nullptr) obs_.ctx->metrics().Add(obs_.computed);
   Evaluation out;
-  if (model_.NeedsMatching()) {
+  if (needs_match_) {
     MatchOptions options;
     options.theta = spec_.theta;
     options.beta = spec_.beta;
@@ -292,8 +294,9 @@ CandidateEvaluator::Evaluation CandidateEvaluator::Evaluate(
   } else {
     out.match.valid = true;  // no matching QEF: feasibility is structural
   }
-  EvalContext ctx = model_.MakeContext(universe_, candidate, &out.match);
-  out.breakdown = model_.Evaluate(ctx, effective_weights_);
+  EvalContext ctx =
+      model_.MakeContext(universe_, candidate, &out.match, denominators_);
+  out.breakdown = model_.Evaluate(ctx, effective_weights_, scorers_);
   out.quality = out.breakdown.overall;
   return out;
 }

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <unordered_map>
@@ -112,10 +113,17 @@ class SharedQualityCache {
 /// reaches its bound evicts only itself (per-shard clear), never the whole
 /// cache. Full Evaluate() (with schema and breakdown) always computes.
 ///
+/// Everything a score needs that depends only on the universe is computed
+/// once, at construction: the policy-adjusted denominators
+/// (QualityModel::UniverseDenominators) and each QEF's MakeDeltaScorer table
+/// (null for the matching and lambda QEFs, which Evaluate scores through
+/// Qef::Evaluate). A DeltaEvaluator over this evaluator borrows both.
+///
 /// Thread safety: Quality(), QualityBatch(), Evaluate() and the counters
 /// are safe to call concurrently (the referenced Universe/ClusterMatcher/
-/// QualityModel must not be mutated during a search — the constructor
-/// primes the universe's lazily built union signature for that reason).
+/// QualityModel must not be mutated during a search; evaluation reads no
+/// lazily built universe state, since the constructor reads every
+/// universe-wide aggregate it needs).
 /// ResetCounters()/ClearCache()/BeginRun() are not synchronized against
 /// concurrent evaluation; call them between searches.
 ///
@@ -254,8 +262,8 @@ class CandidateEvaluator {
 
  private:
   /// The delta path (optimize/delta_evaluator.h) shares this evaluator's
-  /// quality cache, counters and obs hooks so budgets and metrics stay
-  /// identical with delta scoring on or off.
+  /// universe tables, quality cache, counters and obs hooks so scores,
+  /// budgets and metrics stay identical with delta scoring on or off.
   friend class DeltaEvaluator;
 
   static uint64_t HashCandidate(const std::vector<SourceId>& candidate);
@@ -295,6 +303,10 @@ class CandidateEvaluator {
   std::vector<SourceId> banned_;
   std::vector<double> effective_weights_;
   uint64_t spec_fingerprint_ = 0;
+  bool needs_match_ = false;
+  /// The universe-wide work hoisted out of Evaluate (see the class comment).
+  QualityModel::Denominators denominators_;
+  std::vector<std::unique_ptr<QefDeltaScorer>> scorers_;  // parallel to QEFs
   mutable SharedQualityCache* shared_cache_ = nullptr;
 
   static constexpr int kShardBits = 4;

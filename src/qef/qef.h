@@ -83,9 +83,10 @@ struct EvalContext {
 
 /// Incremental scorer for one QEF: scores a prepared EvalContext without
 /// any of the per-candidate universe-wide work Evaluate may redo on each
-/// call (min/max scans, characteristic lookups). Built once per search by
-/// Qef::MakeDeltaScorer against an immutable universe; the DeltaEvaluator
-/// (src/optimize/delta_evaluator.h) drives it from the solvers' flip loops.
+/// call (min/max scans, characteristic lookups). Built once per
+/// CandidateEvaluator by Qef::MakeDeltaScorer against an immutable
+/// universe; the evaluator's full path and the DeltaEvaluator
+/// (src/optimize/delta_evaluator.h) both score through it.
 ///
 /// Contract: Score(ctx) must return a double bit-identical to the owning
 /// Qef's Evaluate(ctx) for every context the quality model can build over

@@ -165,9 +165,29 @@ QualityModel::SourcePolicy QualityModel::PolicyFor(
   return out;
 }
 
+QualityModel::Denominators QualityModel::UniverseDenominators(
+    const Universe& universe) const {
+  Denominators out;
+  if (degradation_.policy == DegradationPolicy::kExcludeRenormalize) {
+    out.cardinality = universe.FreshCardinality();
+    out.union_estimate = universe.FreshUnionCardinalityEstimate();
+  } else {
+    out.cardinality = universe.TotalCardinality();
+    out.union_estimate = universe.UnionCardinalityEstimate();
+  }
+  return out;
+}
+
 EvalContext QualityModel::MakeContext(const Universe& universe,
                                       const std::vector<SourceId>& sources,
                                       const MatchResult* match) const {
+  return MakeContext(universe, sources, match, UniverseDenominators(universe));
+}
+
+EvalContext QualityModel::MakeContext(const Universe& universe,
+                                      const std::vector<SourceId>& sources,
+                                      const MatchResult* match,
+                                      const Denominators& denominators) const {
   EvalContext ctx;
   ctx.universe = &universe;
   ctx.sources = &sources;
@@ -197,14 +217,8 @@ EvalContext QualityModel::MakeContext(const Universe& universe,
     }
   }
   ctx.union_estimate = union_sig == nullptr ? 0.0 : union_sig->Estimate();
-
-  if (degradation_.policy == DegradationPolicy::kExcludeRenormalize) {
-    ctx.universe_cardinality = universe.FreshCardinality();
-    ctx.universe_union_estimate = universe.FreshUnionCardinalityEstimate();
-  } else {
-    ctx.universe_cardinality = universe.TotalCardinality();
-    ctx.universe_union_estimate = universe.UnionCardinalityEstimate();
-  }
+  ctx.universe_cardinality = denominators.cardinality;
+  ctx.universe_union_estimate = denominators.union_estimate;
   return ctx;
 }
 
@@ -219,7 +233,15 @@ QualityBreakdown QualityModel::Evaluate(
                 ValidateWeightVector(weights).ToString());
   UBE_CHECK(!NeedsMatching() || ctx.match != nullptr,
             "model has a matching QEF but the context has no Match result");
+  return Evaluate(ctx, weights, {});
+}
 
+QualityBreakdown QualityModel::Evaluate(
+    const EvalContext& ctx, const std::vector<double>& weights,
+    std::span<const std::unique_ptr<QefDeltaScorer>> scorers) const {
+  UBE_DCHECK(weights.size() == qefs_.size(), "one weight per QEF");
+  UBE_DCHECK(scorers.empty() || scorers.size() == qefs_.size(),
+             "scorers must be empty or parallel to the QEFs");
   QualityBreakdown out;
   out.scores.resize(qefs_.size(), 0.0);
   if (ctx.match != nullptr && !ctx.match->valid) {
@@ -228,7 +250,10 @@ QualityBreakdown QualityModel::Evaluate(
     return out;
   }
   for (size_t i = 0; i < qefs_.size(); ++i) {
-    out.scores[i] = qefs_[i]->Evaluate(ctx);
+    const QefDeltaScorer* scorer =
+        scorers.empty() ? nullptr : scorers[i].get();
+    out.scores[i] =
+        scorer != nullptr ? scorer->Score(ctx) : qefs_[i]->Evaluate(ctx);
     out.overall += weights[i] * out.scores[i];
   }
   return out;

@@ -2,6 +2,7 @@
 #define UBE_QEF_QUALITY_MODEL_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -100,11 +101,28 @@ class QualityModel {
   };
   SourcePolicy PolicyFor(const DataSource& source) const;
 
+  /// The universe-wide denominators of the data QEFs under the active
+  /// degradation policy: Card's Σ_{t∈U}|t| and Coverage's estimated |∪U|
+  /// (both restricted to fresh sources under kExcludeRenormalize). They
+  /// depend only on the universe, so an evaluator computes them once.
+  struct Denominators {
+    int64_t cardinality = 0;
+    double union_estimate = 0.0;
+  };
+  Denominators UniverseDenominators(const Universe& universe) const;
+
   /// Builds the evaluation context for candidate `sources` (precomputes the
   /// shared aggregates). `match` may be null iff !NeedsMatching().
   EvalContext MakeContext(const Universe& universe,
                           const std::vector<SourceId>& sources,
                           const MatchResult* match) const;
+
+  /// Same, with the universe-wide denominators supplied by the caller
+  /// (UniverseDenominators over the same universe) instead of recomputed.
+  EvalContext MakeContext(const Universe& universe,
+                          const std::vector<SourceId>& sources,
+                          const MatchResult* match,
+                          const Denominators& denominators) const;
 
   /// Scores a prepared context. If the context carries an invalid Match
   /// result the candidate is infeasible: overall = 0, feasible = false
@@ -116,6 +134,17 @@ class QualityModel {
   /// per-QEF scores are identical either way; only the weighted sum moves.
   QualityBreakdown Evaluate(const EvalContext& ctx,
                             const std::vector<double>& weights) const;
+
+  /// The weighted sum behind both overloads above, scoring QEF i through
+  /// `scorers[i]` when that entry is non-null (bit-identical to
+  /// qef(i).Evaluate by the QefDeltaScorer contract, without its
+  /// per-candidate universe-wide work) and through Qef::Evaluate otherwise.
+  /// `scorers` is empty or parallel to the QEF list. The weights are not
+  /// re-validated: callers check them once (ValidateWeightVector) before
+  /// scoring many candidates.
+  QualityBreakdown Evaluate(
+      const EvalContext& ctx, const std::vector<double>& weights,
+      std::span<const std::unique_ptr<QefDeltaScorer>> scorers) const;
 
  private:
   std::vector<std::unique_ptr<Qef>> qefs_;

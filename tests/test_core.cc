@@ -58,6 +58,34 @@ TEST(EngineTest, SolveValidatesSpec) {
   spec.max_sources = 5;
   spec.theta = 0.1;  // below the default similarity floor 0.25
   EXPECT_FALSE(engine.Solve(spec).ok());
+
+  // Every entry point that runs Match reports the floor as a Status
+  // instead of aborting inside the matcher.
+  Result<std::vector<SourceId>> seed =
+      engine.RepairSeed(spec, {0, 1, 2}, RepairOptions());
+  ASSERT_FALSE(seed.ok());
+  EXPECT_EQ(seed.status().code(), StatusCode::kInvalidArgument);
+  Result<CandidateEvaluator::Evaluation> eval =
+      engine.EvaluateCandidate(spec, {0, 1, 2});
+  ASSERT_FALSE(eval.ok());
+  EXPECT_EQ(eval.status().code(), StatusCode::kInvalidArgument);
+
+  // A warm session lowering θ mid-loop: the repair of the previous
+  // incumbent must not abort; the solve fails cleanly and the history
+  // stays as it was.
+  Session session(&engine);
+  session.set_warm_start(true);
+  session.SetMaxSources(5);
+  ASSERT_TRUE(session.Iterate(SolverKind::kTabu, FastSolve()).ok());
+  const Solution before = *session.last();
+  session.SetTheta(0.1);
+  Result<Solution> failed = session.Iterate(SolverKind::kTabu, FastSolve());
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(session.stats().failed_solves, 1);
+  EXPECT_EQ(session.num_iterations(), 1);
+  EXPECT_EQ(session.last()->sources, before.sources);
+  EXPECT_EQ(session.last()->quality, before.quality);
 }
 
 TEST(EngineTest, InfeasibleConstraintsReported) {

@@ -1,11 +1,14 @@
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "catalog/change_feed.h"
 #include "matching/cluster_matcher.h"
 #include "matching/similarity_graph.h"
+#include "source/live_universe.h"
 #include "source/universe.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -396,6 +399,109 @@ TEST_P(MatcherPropertyTest, OutputAlwaysValid) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatcherPropertyTest,
                          ::testing::Range(1, 9));
+
+// ---------------------- per-thread scratch reuse --------------------------
+
+Universe BooksUniverse(int num_sources, uint64_t seed) {
+  WorkloadConfig config;
+  config.num_sources = num_sources;
+  config.seed = seed;
+  config.generate_data = false;
+  return std::move(GenerateWorkload(config).universe);
+}
+
+// Fingerprint of Match over a graph rebuilt from scratch, computed on a new
+// thread so it starts from fresh per-thread scratch: nothing an earlier call
+// left behind can leak into the expected value.
+uint64_t FreshFingerprint(const Universe& universe,
+                          const std::vector<SourceId>& sources,
+                          const GlobalAttribute& ga, double theta) {
+  uint64_t fingerprint = 0;
+  std::thread worker([&] {
+    SimilarityGraph graph = SimilarityGraph::WithDefaults(universe, 0.25);
+    ClusterMatcher matcher(universe, graph);
+    Result<MatchResult> r = matcher.Match(sources, {}, {ga}, Opts(theta));
+    if (r.ok()) fingerprint = MatchResultFingerprint(r.value());
+  });
+  worker.join();
+  return fingerprint;
+}
+
+// The matcher's working memory is per thread, sized by the largest graph
+// the thread has matched over, and must be left clean by every call. One
+// thread alternates between matchers whose graphs have different attribute
+// counts — and over a LiveUniverse graph grown in place by a source add and
+// then an attribute add, each growth making it the largest graph yet —
+// and every call must fingerprint like a fresh matcher over a rebuilt
+// graph.
+TEST(ClusterMatcherTest, ScratchReuseAcrossGraphsMatchesFreshMatcher) {
+  Universe small = BooksUniverse(12, 5);
+  Universe medium = BooksUniverse(30, 6);
+  SimilarityGraph small_graph = SimilarityGraph::WithDefaults(small, 0.25);
+  SimilarityGraph medium_graph = SimilarityGraph::WithDefaults(medium, 0.25);
+  ASSERT_LT(small_graph.num_attributes(), medium_graph.num_attributes());
+  ClusterMatcher small_matcher(small, small_graph);
+  ClusterMatcher medium_matcher(medium, medium_graph);
+  LiveUniverse live(BooksUniverse(40, 7));
+  ASSERT_LT(medium_graph.num_attributes(), live.graph().num_attributes());
+
+  // S is every other source, plus the last one (the highest dense indices);
+  // a single-attribute GA constraint rides along.
+  auto subset = [](const Universe& universe) {
+    std::vector<SourceId> sources;
+    for (SourceId s = 0; s < universe.num_sources(); s += 2) {
+      sources.push_back(s);
+    }
+    if (sources.back() != universe.num_sources() - 1) {
+      sources.push_back(universe.num_sources() - 1);
+    }
+    return sources;
+  };
+  const GlobalAttribute ga({AttributeId{0, 0}});
+  auto expect_fresh = [&](const ClusterMatcher& matcher,
+                          const Universe& universe, double theta) {
+    const std::vector<SourceId> sources = subset(universe);
+    Result<MatchResult> r = matcher.Match(sources, {}, {ga}, Opts(theta));
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(MatchResultFingerprint(r.value()),
+              FreshFingerprint(universe, sources, ga, theta))
+        << "|U|=" << universe.num_sources() << " theta=" << theta;
+  };
+  auto alternate = [&] {
+    for (double theta : {0.5, 0.75}) {
+      expect_fresh(live.matcher(), live.universe(), theta);
+      expect_fresh(small_matcher, small, theta);
+      expect_fresh(medium_matcher, medium, theta);
+      expect_fresh(live.matcher(), live.universe(), theta);
+      expect_fresh(small_matcher, small, theta);
+    }
+  };
+  alternate();
+
+  // Grow the live graph by a brand-new source...
+  const int before_add = live.graph().num_attributes();
+  ChurnEvent add;
+  add.time_ms = 1.0;
+  add.kind = ChurnEventKind::kAdd;
+  add.source = live.universe().num_sources();
+  add.added = std::make_unique<DataSource>(
+      "newcomer", SourceSchema({"title", "author", "isbn", "price"}));
+  ASSERT_TRUE(live.Apply(add).ok());
+  ASSERT_GT(live.graph().num_attributes(), before_add);
+  alternate();
+
+  // ...then by an attribute appended to source 0.
+  const int before_attr = live.graph().num_attributes();
+  ChurnEvent attr;
+  attr.time_ms = 2.0;
+  attr.kind = ChurnEventKind::kAttrAdd;
+  attr.source = 0;
+  attr.attr_index = live.universe().source(0).schema().num_attributes();
+  attr.attr_name = "publisher";
+  ASSERT_TRUE(live.Apply(attr).ok());
+  ASSERT_EQ(live.graph().num_attributes(), before_attr + 1);
+  alternate();
+}
 
 }  // namespace
 }  // namespace ube

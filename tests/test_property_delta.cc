@@ -1,13 +1,17 @@
 // Delta-vs-full differential oracle: the DeltaEvaluator's incremental
-// scoring must be bit-identical to the full evaluation path — per QEF and
-// for the composite Q(S) — after ANY seeded flip sequence, including
+// scoring must be bit-identical to a table-free recomputation — per QEF
+// and for the composite Q(S) — after ANY seeded flip sequence, including
 // add-then-remove round-trips and restart resets, across signature kinds
-// (exact and PCSA), degradation policies and uncooperative sources. A
-// second property pins cache/counter parity: an identical candidate stream
-// scored through the delta path and through the full path must leave
-// num_evaluations / num_cache_hits identical, so eval budgets stop at the
-// same point. Replayable via UBE_PROPERTY_SEED / UBE_PROPERTY_ITERS (see
-// TESTING.md).
+// (exact and PCSA), degradation policies and uncooperative sources. The
+// ground truth is QualityModel::MakeContext + Evaluate(ctx, weights), which
+// recomputes every universe-wide aggregate and scores each QEF through
+// Qef::Evaluate, so it shares no table with the evaluator or the delta
+// path. The same ground truth checks CandidateEvaluator::Evaluate on the
+// paper's default model (F1 + data QEFs). A further property pins
+// cache/counter parity: an identical candidate stream scored through the
+// delta path and through the full path must leave num_evaluations /
+// num_cache_hits identical, so eval budgets stop at the same point.
+// Replayable via UBE_PROPERTY_SEED / UBE_PROPERTY_ITERS (see TESTING.md).
 #include <memory>
 #include <utility>
 #include <vector>
@@ -45,49 +49,57 @@ struct Instance {
   explicit Instance(Universe u) : universe(std::move(u)) {}
 };
 
-std::unique_ptr<Instance> MakeInstance(Rng& rng, bool exact_signatures) {
+constexpr DegradationPolicy kPolicies[] = {
+    DegradationPolicy::kPessimisticPrior, DegradationPolicy::kLastKnownGood,
+    DegradationPolicy::kExcludeRenormalize};
+
+// A random universe with some statistics degraded (stale, partial,
+// missing), so PolicyFor actually has cases to decide (weights, admission,
+// denominators) — fresh-only universes make every policy a no-op.
+Universe DegradedUniverse(Rng& rng, bool exact_signatures,
+                          double characteristic_probability = 1.0) {
   testkit::UniverseGenOptions gen;
   gen.exact_signatures = exact_signatures;
   gen.uncooperative_probability = 0.15;
-  auto inst = std::make_unique<Instance>(testkit::GenerateUniverse(rng, gen));
-
-  // Degrade some statistics so PolicyFor actually has cases to decide
-  // (weights, admission, denominators) — fresh-only universes make every
-  // policy a no-op.
-  for (SourceId s = 0; s < inst->universe.num_sources(); ++s) {
+  gen.characteristic_probability = characteristic_probability;
+  Universe universe = testkit::GenerateUniverse(rng, gen);
+  for (SourceId s = 0; s < universe.num_sources(); ++s) {
     double roll = rng.UniformDouble();
     if (roll < 0.12) {
-      inst->universe.mutable_source(s)->set_stats_state(
+      universe.mutable_source(s)->set_stats_state(
           StatsState::kStale, rng.UniformDouble() * 2.0);
     } else if (roll < 0.20) {
-      inst->universe.mutable_source(s)->set_stats_state(StatsState::kPartial);
+      universe.mutable_source(s)->set_stats_state(StatsState::kPartial);
     } else if (roll < 0.25) {
-      inst->universe.mutable_source(s)->set_stats_state(StatsState::kMissing);
+      universe.mutable_source(s)->set_stats_state(StatsState::kMissing);
     }
   }
+  return universe;
+}
 
+std::unique_ptr<Instance> MakeInstance(Rng& rng, bool exact_signatures) {
+  auto inst =
+      std::make_unique<Instance>(DegradedUniverse(rng, exact_signatures));
   inst->graph = std::make_unique<SimilarityGraph>(
       inst->universe, MakeDefaultSimilarity(), 0.25);
   inst->matcher =
       std::make_unique<ClusterMatcher>(inst->universe, *inst->graph);
   inst->model = testkit::GenerateModel(rng, /*include_matching=*/false);
   DegradationOptions degradation;
-  switch (rng.UniformInt(3)) {
-    case 0:
-      degradation.policy = DegradationPolicy::kPessimisticPrior;
-      break;
-    case 1:
-      degradation.policy = DegradationPolicy::kLastKnownGood;
-      break;
-    default:
-      degradation.policy = DegradationPolicy::kExcludeRenormalize;
-      break;
-  }
+  degradation.policy = kPolicies[rng.UniformInt(3)];
   inst->model.set_degradation(degradation);
   inst->spec = testkit::GenerateSpec(rng, inst->universe);
   inst->evaluator = std::make_unique<CandidateEvaluator>(
       inst->universe, *inst->matcher, inst->model, inst->spec);
   return inst;
+}
+
+// Ground truth without any precomputed table: the public context builder
+// and weighted sum, under the evaluator's effective weights.
+QualityBreakdown Reference(const Instance& inst,
+                           const std::vector<SourceId>& candidate) {
+  EvalContext ctx = inst.model.MakeContext(inst.universe, candidate, nullptr);
+  return inst.model.Evaluate(ctx, inst.evaluator->effective_weights());
 }
 
 // The inverse of `move` from the post-commit state: re-applying it lands
@@ -143,22 +155,21 @@ TEST(DeltaPropertyTest, FlipSequencesAreBitIdenticalToFullRecompute) {
       std::vector<SearchState::Move> moves = {move};
       std::vector<std::vector<SourceId>> neighbors = {state.Apply(move)};
 
-      // Composite Q(S) through the incremental move path vs the full
-      // path's uncached ground truth.
+      // Composite Q(S) through the incremental move path vs the
+      // table-free ground truth.
       std::vector<double> scored =
           delta.ScoreNeighborhood(state.sources(), moves, neighbors, nullptr);
-      CandidateEvaluator::Evaluation full =
-          inst->evaluator->Evaluate(neighbors[0]);
-      EXPECT_EQ(scored[0], full.quality) << "flip " << f;
+      const QualityBreakdown truth = Reference(*inst, neighbors[0]);
+      EXPECT_EQ(scored[0], truth.overall) << "flip " << f;
 
       // Per-QEF breakdown through the uncached delta probe.
       QualityBreakdown probe = delta.Compute(neighbors[0]);
-      ASSERT_EQ(probe.scores.size(), full.breakdown.scores.size());
+      ASSERT_EQ(probe.scores.size(), truth.scores.size());
       for (size_t i = 0; i < probe.scores.size(); ++i) {
-        EXPECT_EQ(probe.scores[i], full.breakdown.scores[i])
+        EXPECT_EQ(probe.scores[i], truth.scores[i])
             << "flip " << f << " QEF " << inst->model.qef(static_cast<int>(i)).name();
       }
-      EXPECT_EQ(probe.overall, full.breakdown.overall) << "flip " << f;
+      EXPECT_EQ(probe.overall, truth.overall) << "flip " << f;
 
       if (rng.UniformDouble() < 0.5) {
         // Add-then-remove round trip: commit, score the inverse move from
@@ -175,7 +186,63 @@ TEST(DeltaPropertyTest, FlipSequencesAreBitIdenticalToFullRecompute) {
             state.sources(), inverse_moves, back, nullptr);
         EXPECT_EQ(round[0], before_quality)
             << "add-then-remove round trip diverged at flip " << f;
-        EXPECT_EQ(round[0], inst->evaluator->Evaluate(before).quality);
+        EXPECT_EQ(round[0], Reference(*inst, before).overall);
+      }
+    }
+  }
+}
+
+// The full path's universe tables on the paper's default model (F1 + the
+// four data QEFs), where Match runs and the delta path stays off:
+// CandidateEvaluator::Evaluate must reproduce the table-free ground truth
+// (Match + MakeContext + Evaluate) per QEF and in Q(S), bit for bit, under
+// every degradation policy, with stale / partial / missing sources, and
+// with and without a weight overlay.
+TEST(DeltaPropertyTest, EvaluatorTablesMatchReferenceOnDefaultModel) {
+  PropertyRunner runner("evaluator-tables-default-model", 20);
+  for (int c = 0; c < runner.num_cases(); ++c) {
+    SCOPED_TRACE(runner.Replay(c));
+    Rng rng = runner.CaseRng(c);
+    // Some sources lack the characteristic, so its table has gaps too.
+    Universe universe = DegradedUniverse(rng, c % 2 == 0, 0.85);
+    SimilarityGraph graph(universe, MakeDefaultSimilarity(), 0.25);
+    ClusterMatcher matcher(universe, graph);
+    QualityModel model = QualityModel::MakeDefault();
+    for (DegradationPolicy policy : kPolicies) {
+      DegradationOptions degradation;
+      degradation.policy = policy;
+      model.set_degradation(degradation);
+      ProblemSpec spec = testkit::GenerateSpec(rng, universe);
+      if (rng.Bernoulli(0.5)) {
+        spec.weight_overlay = testkit::GenerateWeights(rng, model.num_qefs());
+      }
+      CandidateEvaluator evaluator(universe, matcher, model, spec);
+      MatchOptions options;
+      options.theta = spec.theta;
+      options.beta = spec.beta;
+      for (int k = 0; k < 6; ++k) {
+        const std::vector<SourceId> candidate =
+            testkit::GenerateCandidate(rng, universe, spec);
+        const CandidateEvaluator::Evaluation full =
+            evaluator.Evaluate(candidate);
+        Result<MatchResult> match = matcher.Match(
+            candidate, spec.source_constraints, spec.ga_constraints, options);
+        ASSERT_TRUE(match.ok()) << match.status();
+        EXPECT_EQ(MatchResultFingerprint(full.match),
+                  MatchResultFingerprint(match.value()));
+        EvalContext ctx = model.MakeContext(universe, candidate, &*match);
+        const QualityBreakdown truth =
+            model.Evaluate(ctx, evaluator.effective_weights());
+        EXPECT_EQ(full.breakdown.feasible, truth.feasible);
+        ASSERT_EQ(full.breakdown.scores.size(), truth.scores.size());
+        for (size_t i = 0; i < truth.scores.size(); ++i) {
+          EXPECT_EQ(full.breakdown.scores[i], truth.scores[i])
+              << DegradationPolicyName(policy) << " QEF "
+              << model.qef(static_cast<int>(i)).name();
+        }
+        EXPECT_EQ(full.breakdown.overall, truth.overall)
+            << DegradationPolicyName(policy);
+        EXPECT_EQ(full.quality, truth.overall);
       }
     }
   }
