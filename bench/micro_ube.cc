@@ -1,7 +1,7 @@
 // google-benchmark micro-benchmarks for the µBE building blocks: string
-// similarity, PCSA operations, Match(S) clustering, and full candidate
-// evaluation. These are the per-call costs that the figure benches
-// aggregate.
+// similarity, PCSA operations, the similarity-graph build, Match(S)
+// clustering, and full candidate evaluation. These are the per-call costs
+// that the figure benches aggregate.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -18,6 +18,7 @@
 #include "optimize/search_state.h"
 #include "qef/qef.h"
 #include "sketch/pcsa.h"
+#include "source/flaky.h"
 #include "text/ngram.h"
 #include "text/similarity.h"
 #include "util/rng.h"
@@ -105,6 +106,32 @@ void BM_SimilarityGraphBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimilarityGraphBuild)->Unit(benchmark::kMillisecond);
+
+// The same build with every attribute renamed to a distinct name (its old
+// name plus a unique number), so interning names saves nothing and each
+// attribute pair's score is computed once.
+void BM_SimilarityGraphBuildDistinctNames(benchmark::State& state) {
+  static auto* universe = [] {
+    auto* distinct =
+        new ube::Universe(ube::CloneUniverse(SharedWorkload().universe));
+    int next = 0;
+    for (ube::SourceId s = 0; s < distinct->num_sources(); ++s) {
+      ube::SourceSchema* schema = distinct->mutable_source(s)->mutable_schema();
+      for (int a = 0; a < schema->num_attributes(); ++a) {
+        schema->RenameAttribute(
+            a, schema->attribute_name(a) + " " + std::to_string(next++));
+      }
+    }
+    return distinct;
+  }();
+  for (auto _ : state) {
+    ube::SimilarityGraph graph =
+        ube::SimilarityGraph::WithDefaults(*universe, 0.25);
+    benchmark::DoNotOptimize(graph.num_edges());
+  }
+}
+BENCHMARK(BM_SimilarityGraphBuildDistinctNames)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Match20Sources(benchmark::State& state) {
   auto& workload = SharedWorkload();

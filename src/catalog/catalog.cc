@@ -1,8 +1,10 @@
 #include "catalog/catalog.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -41,17 +43,26 @@ bool ParseInt64(std::string_view text, int64_t* out) {
   }
   for (; i < text.size(); ++i) {
     if (text[i] < '0' || text[i] > '9') return false;
-    value = value * 10 + (text[i] - '0');
+    const int digit = text[i] - '0';
+    // Reject before overflowing: signed overflow is undefined.
+    if (value > (std::numeric_limits<int64_t>::max() - digit) / 10) {
+      return false;
+    }
+    value = value * 10 + digit;
   }
   *out = negative ? -value : value;
   return true;
 }
 
+// A catalog number is finite: "inf", "nan" and overflowing literals such as
+// "1e309" are rejected, since one of them would normalize every finite
+// value of its QEF to 0 or make Q(S) NaN.
 bool ParseDouble(std::string_view text, double* out) {
   std::string buffer(text);
   char* end = nullptr;
   double value = std::strtod(buffer.c_str(), &end);
   if (end == buffer.c_str() || *end != '\0') return false;
+  if (!std::isfinite(value)) return false;
   *out = value;
   return true;
 }
@@ -102,6 +113,7 @@ struct PendingSource {
   int64_t cardinality = 0;
   std::vector<std::pair<std::string, double>> characteristics;
   std::unique_ptr<DistinctSignature> signature;
+  int signature_line = 0;
   bool has_state = false;
   bool dropped = false;
   StatsState stats_state = StatsState::kFresh;
@@ -158,7 +170,25 @@ Result<std::unique_ptr<DistinctSignature>> ParseSignature(
                               "' (expected pcsa or exact)");
 }
 
-Status Finish(PendingSource& pending, Universe* universe) {
+// "pcsa:<bitmaps>" or "exact": the part of a signature that must agree
+// across a universe, because the union estimate merges every member's
+// signature into one.
+std::string SignatureFormat(const DistinctSignature& signature) {
+  if (const auto* pcsa = dynamic_cast<const PcsaSignature*>(&signature)) {
+    return "pcsa:" + std::to_string(pcsa->sketch().num_bitmaps());
+  }
+  return "exact";
+}
+
+// The first signed source of a catalog; every later signature must match
+// its format.
+struct FirstSignature {
+  std::string format;  // empty until a signed source is seen
+  std::string source;
+};
+
+Status Finish(PendingSource& pending, FirstSignature* first_signature,
+              Universe* universe) {
   if (!pending.has_name) {
     return ParseError(pending.start_line, "[source] block is missing 'name'");
   }
@@ -176,6 +206,18 @@ Status Finish(PendingSource& pending, Universe* universe) {
     source.SetCharacteristic(name, value);
   }
   if (pending.signature != nullptr) {
+    const std::string format = SignatureFormat(*pending.signature);
+    if (first_signature->format.empty()) {
+      *first_signature = FirstSignature{format, pending.name};
+    } else if (format != first_signature->format) {
+      return ParseError(pending.signature_line,
+                        "source '" + pending.name +
+                            "' has a signature of format " + format +
+                            " but source '" + first_signature->source +
+                            "' has " + first_signature->format +
+                            "; all signatures of a catalog must share one "
+                            "kind and PCSA width");
+    }
     source.set_signature(std::move(pending.signature));
   }
   source.set_available(!pending.dropped);
@@ -189,6 +231,7 @@ Status Finish(PendingSource& pending, Universe* universe) {
 Result<Universe> ParseCatalog(std::string_view text) {
   Universe universe;
   PendingSource pending;
+  FirstSignature first_signature;
   bool in_block = false;
 
   int line_number = 0;
@@ -205,7 +248,7 @@ Result<Universe> ParseCatalog(std::string_view text) {
 
     if (line == "[source]") {
       if (in_block) {
-        UBE_RETURN_IF_ERROR(Finish(pending, &universe));
+        UBE_RETURN_IF_ERROR(Finish(pending, &first_signature, &universe));
       }
       pending = PendingSource{};
       pending.start_line = line_number;
@@ -253,7 +296,8 @@ Result<Universe> ParseCatalog(std::string_view text) {
       int64_t cardinality = 0;
       if (!ParseInt64(value, &cardinality) || cardinality < 0) {
         return ParseError(line_number,
-                          "'cardinality' must be a non-negative integer");
+                          "'cardinality' must be a non-negative 64-bit "
+                          "integer");
       }
       pending.cardinality = cardinality;
     } else if (key.rfind("char.", 0) == 0) {
@@ -265,7 +309,7 @@ Result<Universe> ParseCatalog(std::string_view text) {
       double parsed = 0.0;
       if (!ParseDouble(value, &parsed)) {
         return ParseError(line_number, "characteristic '" + characteristic +
-                                           "' must be a number");
+                                           "' must be a number (finite)");
       }
       pending.characteristics.emplace_back(characteristic, parsed);
     } else if (key == "state") {
@@ -323,13 +367,14 @@ Result<Universe> ParseCatalog(std::string_view text) {
           ParseSignature(value, line_number);
       if (!signature.ok()) return signature.status();
       pending.signature = std::move(signature).value();
+      pending.signature_line = line_number;
     } else {
       return ParseError(line_number, "unknown key '" + key + "'");
     }
   }
 
   if (in_block) {
-    UBE_RETURN_IF_ERROR(Finish(pending, &universe));
+    UBE_RETURN_IF_ERROR(Finish(pending, &first_signature, &universe));
   }
   return universe;
 }

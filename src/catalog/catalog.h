@@ -35,7 +35,11 @@ namespace ube {
 /// `dropped` source (the prober's unavailable shell, whose schema is empty)
 /// may omit `attributes`. Everything else is optional. Unknown keys and
 /// unknown `state` tokens are errors (catching typos beats silently
-/// ignoring a misspelled characteristic).
+/// ignoring a misspelled characteristic). Numbers must be finite (no `inf`,
+/// `nan` or overflowing literal) and integers must fit in 64 bits. Every
+/// signature of one catalog must have the same kind, and PCSA signatures
+/// the same bitmap count, because a solve merges them into one union
+/// estimate; the error names the first source that differs.
 ///
 /// The writer emits the same format, so catalogs round-trip:
 /// ParseCatalog(WriteCatalog(u)) reproduces u exactly (including PCSA

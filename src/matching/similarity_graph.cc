@@ -15,56 +15,26 @@ SimilarityGraph::SimilarityGraph(
     : floor_(floor), measure_(std::move(similarity)) {
   UBE_CHECK(measure_ != nullptr, "SimilarityGraph requires a measure");
   UBE_CHECK(floor_ >= 0.0 && floor_ <= 1.0, "floor must be in [0, 1]");
+  if (const auto* ngram =
+          dynamic_cast<const NgramJaccardSimilarity*>(measure_.get())) {
+    ngram_n_ = ngram->n();
+  }
 
-  // Dense attribute indexing.
+  // Dense attribute indexing, names interned. Attributes of the same source
+  // never get edges (a valid GA cannot contain two attributes of one
+  // source), so each row skips its own source block.
   source_offsets_.reserve(static_cast<size_t>(universe.num_sources()) + 1);
   for (SourceId s = 0; s < universe.num_sources(); ++s) {
     source_offsets_.push_back(static_cast<int>(attr_ids_.size()));
     const SourceSchema& schema = universe.source(s).schema();
     for (int a = 0; a < schema.num_attributes(); ++a) {
       attr_ids_.push_back(AttributeId{s, a});
-      names_.push_back(schema.attribute_name(a));
+      name_of_.push_back(Intern(schema.attribute_name(a)));
     }
   }
   source_offsets_.push_back(static_cast<int>(attr_ids_.size()));
   adjacency_.resize(attr_ids_.size());
-
-  // n-gram fast path detection.
-  if (const auto* ngram =
-          dynamic_cast<const NgramJaccardSimilarity*>(measure_.get())) {
-    ngram_n_ = ngram->n();
-    ngram_sets_.reserve(names_.size());
-    for (const std::string& name : names_) {
-      ngram_sets_.push_back(
-          NgramSet::Build(NormalizeAttributeName(name), ngram_n_));
-    }
-  }
-
-  // All cross-source pairs. Attributes of the same source never get edges
-  // (a valid GA cannot contain two attributes of one source).
-  const int n = num_attributes();
-  for (int a = 0; a < n; ++a) {
-    const SourceId source_a = attr_ids_[static_cast<size_t>(a)].source;
-    // Attributes are laid out grouped by source; skip the rest of a's own
-    // source block.
-    int b_start = source_offsets_[static_cast<size_t>(source_a) + 1];
-    for (int b = b_start; b < n; ++b) {
-      double sim = PairSimilarity(a, b);
-      if (sim >= floor_ && sim > 0.0) {
-        adjacency_[static_cast<size_t>(a)].push_back(
-            Edge{b, static_cast<float>(sim)});
-        adjacency_[static_cast<size_t>(b)].push_back(
-            Edge{a, static_cast<float>(sim)});
-        ++num_edges_;
-      }
-    }
-  }
-  for (auto& edges : adjacency_) {
-    std::sort(edges.begin(), edges.end(),
-              [](const Edge& x, const Edge& y) {
-                return x.neighbor < y.neighbor;
-              });
-  }
+  FillRows(0, num_attributes());
 }
 
 SimilarityGraph SimilarityGraph::WithDefaults(const Universe& universe,
@@ -92,7 +62,8 @@ const AttributeId& SimilarityGraph::AttrId(int dense_index) const {
 const std::string& SimilarityGraph::Name(int dense_index) const {
   UBE_CHECK(dense_index >= 0 && dense_index < num_attributes(),
             "dense index out of range");
-  return names_[static_cast<size_t>(dense_index)];
+  return names_[static_cast<size_t>(
+      name_of_[static_cast<size_t>(dense_index)])];
 }
 
 const std::vector<SimilarityGraph::Edge>& SimilarityGraph::EdgesOf(
@@ -118,10 +89,7 @@ void SimilarityGraph::PatchSourceRemoved(SourceId source) {
   }
   adjacency_.erase(adjacency_.begin() + first, adjacency_.begin() + last);
   attr_ids_.erase(attr_ids_.begin() + first, attr_ids_.begin() + last);
-  names_.erase(names_.begin() + first, names_.begin() + last);
-  if (ngram_n_ > 0) {
-    ngram_sets_.erase(ngram_sets_.begin() + first, ngram_sets_.begin() + last);
-  }
+  name_of_.erase(name_of_.begin() + first, name_of_.begin() + last);
   // Surviving rows: drop edges into the removed block, shift indexes past
   // it. The index mapping is monotonic, so rows stay sorted by neighbor.
   for (auto& edges : adjacency_) {
@@ -169,46 +137,18 @@ void SimilarityGraph::PatchSourceAdded(const Universe& universe,
   }
   attr_ids_.insert(attr_ids_.begin() + first, static_cast<size_t>(add),
                    AttributeId{});
-  names_.insert(names_.begin() + first, static_cast<size_t>(add),
-                std::string());
+  name_of_.insert(name_of_.begin() + first, static_cast<size_t>(add), 0);
   adjacency_.insert(adjacency_.begin() + first, static_cast<size_t>(add),
                     std::vector<Edge>());
-  if (ngram_n_ > 0) {
-    ngram_sets_.insert(ngram_sets_.begin() + first, static_cast<size_t>(add),
-                       NgramSet());
-  }
   for (int a = 0; a < add; ++a) {
     const size_t dense = static_cast<size_t>(first + a);
     attr_ids_[dense] = AttributeId{source, a};
-    names_[dense] = schema.attribute_name(a);
-    if (ngram_n_ > 0) {
-      ngram_sets_[dense] =
-          NgramSet::Build(NormalizeAttributeName(names_[dense]), ngram_n_);
-    }
+    name_of_[dense] = Intern(schema.attribute_name(a));
   }
-
-  // Only edges incident to the new block are computed; PairSimilarity is
-  // the same code path construction uses (and every measure is exactly
-  // symmetric), so the floats match a from-scratch rebuild bit for bit.
-  const int n = num_attributes();
-  for (int a = first; a < first + add; ++a) {
-    auto& row = adjacency_[static_cast<size_t>(a)];
-    for (int b = 0; b < n; ++b) {
-      if (b >= first && b < first + add) continue;  // same-source block
-      double sim = PairSimilarity(a, b);
-      if (sim >= floor_ && sim > 0.0) {
-        row.push_back(Edge{b, static_cast<float>(sim)});
-        auto& other = adjacency_[static_cast<size_t>(b)];
-        other.insert(std::lower_bound(other.begin(), other.end(), a,
-                                      [](const Edge& e, int idx) {
-                                        return e.neighbor < idx;
-                                      }),
-                     Edge{a, static_cast<float>(sim)});
-        ++num_edges_;
-      }
-    }
-    // b ran ascending, so the new row is already sorted by neighbor.
-  }
+  // Only edges incident to the new block are computed, by the routine
+  // construction uses, so the floats match a from-scratch rebuild bit for
+  // bit.
+  FillRows(first, first + add);
 }
 
 void SimilarityGraph::EraseRowEdges(int dense) {
@@ -227,25 +167,149 @@ void SimilarityGraph::EraseRowEdges(int dense) {
   row.clear();
 }
 
-void SimilarityGraph::RecomputeRow(int dense, int block_first, int block_last) {
-  auto& row = adjacency_[static_cast<size_t>(dense)];
-  UBE_CHECK(row.empty(), "RecomputeRow: row must be empty");
-  const int n = num_attributes();
-  for (int b = 0; b < n; ++b) {
-    if (b >= block_first && b < block_last) continue;  // same-source block
-    double sim = PairSimilarity(dense, b);
-    if (sim >= floor_ && sim > 0.0) {
-      row.push_back(Edge{b, static_cast<float>(sim)});
-      auto& other = adjacency_[static_cast<size_t>(b)];
-      other.insert(std::lower_bound(other.begin(), other.end(), dense,
-                                    [](const Edge& e, int idx) {
-                                      return e.neighbor < idx;
-                                    }),
-                   Edge{dense, static_cast<float>(sim)});
-      ++num_edges_;
+int32_t SimilarityGraph::Intern(const std::string& name) {
+  const auto [it, inserted] =
+      name_ids_.try_emplace(name, static_cast<int32_t>(names_.size()));
+  if (!inserted) return it->second;
+  const int32_t id = it->second;
+  names_.push_back(name);
+  if (ngram_n_ > 0) {
+    NgramSet grams = NgramSet::Build(NormalizeAttributeName(name), ngram_n_);
+    if (grams.empty()) empty_names_.push_back(id);
+    for (uint64_t gram : grams.grams()) postings_[gram].push_back(id);
+    ngram_sets_.push_back(std::move(grams));
+  }
+  return id;
+}
+
+void SimilarityGraph::FillRows(int first, int last) {
+  const size_t num_names = names_.size();
+
+  // The distinct names of the rows; slot_of maps a name to its sparse row.
+  std::vector<int32_t> slot_of(num_names, -1);
+  std::vector<int32_t> row_names;
+  for (int a = first; a < last; ++a) {
+    UBE_CHECK(adjacency_[static_cast<size_t>(a)].empty(),
+              "FillRows: rows must be empty");
+    const int32_t x = name_of_[static_cast<size_t>(a)];
+    if (slot_of[static_cast<size_t>(x)] < 0) {
+      slot_of[static_cast<size_t>(x)] = static_cast<int32_t>(row_names.size());
+      row_names.push_back(x);
     }
   }
-  // b ran ascending, so the row is sorted by neighbor.
+
+  // Score each row name x against every interned name y, each unordered
+  // pair once: a pair of two row names is scored from the higher id's turn.
+  // A name row keeps only the names it has an edge to (Edge::neighbor is a
+  // name id here).
+  std::vector<std::vector<Edge>> name_rows(row_names.size());
+  auto scored_elsewhere = [&slot_of](int32_t x, int32_t y) {
+    return y > x && slot_of[static_cast<size_t>(y)] >= 0;
+  };
+  auto keep = [&](int32_t x, int32_t y, double sim) {
+    if (!(sim >= floor_ && sim > 0.0)) return;
+    const float stored = static_cast<float>(sim);
+    name_rows[static_cast<size_t>(slot_of[static_cast<size_t>(x)])].push_back(
+        Edge{y, stored});
+    const int32_t y_slot = slot_of[static_cast<size_t>(y)];
+    if (y != x && y_slot >= 0) {
+      name_rows[static_cast<size_t>(y_slot)].push_back(Edge{x, stored});
+    }
+  };
+  if (ngram_n_ > 0) {
+    // Candidates come from the postings, and the shared-gram count is
+    // exactly IntersectionSize. Names with no gram in common score 0 (no
+    // edge), except two empty sets, whose Jaccard is 1.
+    std::vector<int32_t> shared(num_names, 0);
+    std::vector<int32_t> touched;
+    for (int32_t x : row_names) {
+      const NgramSet& grams = ngram_sets_[static_cast<size_t>(x)];
+      if (grams.empty()) {
+        for (int32_t y : empty_names_) {
+          if (!scored_elsewhere(x, y)) keep(x, y, JaccardFromCounts(0, 0, 0));
+        }
+        continue;
+      }
+      for (uint64_t gram : grams.grams()) {
+        for (int32_t y : postings_.find(gram)->second) {
+          if (scored_elsewhere(x, y)) continue;
+          if (shared[static_cast<size_t>(y)]++ == 0) touched.push_back(y);
+        }
+      }
+      for (int32_t y : touched) {
+        keep(x, y,
+             JaccardFromCounts(
+                 static_cast<size_t>(shared[static_cast<size_t>(y)]),
+                 grams.size(), ngram_sets_[static_cast<size_t>(y)].size()));
+        shared[static_cast<size_t>(y)] = 0;
+      }
+      touched.clear();
+    }
+  } else {
+    for (int32_t x : row_names) {
+      for (int32_t y = 0; y < static_cast<int32_t>(num_names); ++y) {
+        if (scored_elsewhere(x, y)) continue;
+        keep(x, y,
+             measure_->Score(names_[static_cast<size_t>(x)],
+                             names_[static_cast<size_t>(y)]));
+      }
+    }
+  }
+
+  // Fill the attribute rows by lookup: scatter the row's name row into a
+  // dense per-name scratch row, then visit every attribute outside the
+  // row's source block in dense order. Row b < a inside [first, last) has
+  // already emitted its edge to a, so the lower scan stops at `first`;
+  // [first, last) is either the whole graph or part of one source block.
+  constexpr float kNoEdge = -1.0f;
+  std::vector<float> sim_of(num_names, kNoEdge);
+  const int n = num_attributes();
+  for (int a = first; a < last; ++a) {
+    const std::vector<Edge>& name_row = name_rows[static_cast<size_t>(
+        slot_of[static_cast<size_t>(name_of_[static_cast<size_t>(a)])])];
+    for (const Edge& e : name_row) {
+      sim_of[static_cast<size_t>(e.neighbor)] = e.similarity;
+    }
+    const SourceId source = attr_ids_[static_cast<size_t>(a)].source;
+    const int block_first = source_offsets_[static_cast<size_t>(source)];
+    const int block_last = source_offsets_[static_cast<size_t>(source) + 1];
+    auto& row = adjacency_[static_cast<size_t>(a)];
+    auto add_edge = [&](int b, float sim) {
+      row.push_back(Edge{b, sim});
+      // Mirror into b's row. During construction every earlier mirror came
+      // from a lower row, so it appends; a patch inserts in place.
+      auto& other = adjacency_[static_cast<size_t>(b)];
+      if (other.empty() || other.back().neighbor < a) {
+        other.push_back(Edge{a, sim});
+      } else {
+        other.insert(std::lower_bound(other.begin(), other.end(), a,
+                                      [](const Edge& e, int idx) {
+                                        return e.neighbor < idx;
+                                      }),
+                     Edge{a, sim});
+      }
+      ++num_edges_;
+    };
+    const int32_t* names = name_of_.data();
+    const float* sims = sim_of.data();
+    const int ranges[2][2] = {{0, std::min(block_first, first)},
+                              {block_last, n}};
+    for (const auto& [lo, hi] : ranges) {
+      for (int b = lo; b < hi; ++b) {
+        const float sim = sims[names[b]];
+        if (sim >= 0.0f) add_edge(b, sim);
+      }
+    }
+    for (const Edge& e : name_row) {
+      sim_of[static_cast<size_t>(e.neighbor)] = kNoEdge;
+    }
+    // b ran ascending, so the row is sorted by neighbor.
+    UBE_DCHECK(std::is_sorted(row.begin(), row.end(),
+                              [](const Edge& x, const Edge& y) {
+                                return x.neighbor < y.neighbor;
+                              }),
+               "FillRows: row not sorted by neighbor");
+  }
 }
 
 void SimilarityGraph::PatchAttributeRenamed(const Universe& universe,
@@ -257,14 +321,10 @@ void SimilarityGraph::PatchAttributeRenamed(const Universe& universe,
   UBE_CHECK(attr_index >= 0 && first + attr_index < last,
             "PatchAttributeRenamed: attr_index out of range");
   const int dense = first + attr_index;
-  names_[static_cast<size_t>(dense)] =
-      universe.source(source).schema().attribute_name(attr_index);
-  if (ngram_n_ > 0) {
-    ngram_sets_[static_cast<size_t>(dense)] = NgramSet::Build(
-        NormalizeAttributeName(names_[static_cast<size_t>(dense)]), ngram_n_);
-  }
+  name_of_[static_cast<size_t>(dense)] =
+      Intern(universe.source(source).schema().attribute_name(attr_index));
   EraseRowEdges(dense);
-  RecomputeRow(dense, first, last);
+  FillRows(dense, dense + 1);
 }
 
 void SimilarityGraph::PatchAttributeAdded(const Universe& universe,
@@ -291,16 +351,10 @@ void SimilarityGraph::PatchAttributeAdded(const Universe& universe,
     source_offsets_[t] += 1;
   }
   attr_ids_.insert(attr_ids_.begin() + dense, AttributeId{source, attr_index});
-  names_.insert(names_.begin() + dense, schema.attribute_name(attr_index));
+  name_of_.insert(name_of_.begin() + dense,
+                  Intern(schema.attribute_name(attr_index)));
   adjacency_.insert(adjacency_.begin() + dense, std::vector<Edge>());
-  if (ngram_n_ > 0) {
-    ngram_sets_.insert(
-        ngram_sets_.begin() + dense,
-        NgramSet::Build(
-            NormalizeAttributeName(names_[static_cast<size_t>(dense)]),
-            ngram_n_));
-  }
-  RecomputeRow(dense, first, first + attr_index + 1);
+  FillRows(dense, dense + 1);
 }
 
 void SimilarityGraph::PatchAttributeDropped(SourceId source, int attr_index) {
@@ -315,8 +369,7 @@ void SimilarityGraph::PatchAttributeDropped(SourceId source, int attr_index) {
   EraseRowEdges(dense);
   adjacency_.erase(adjacency_.begin() + dense);
   attr_ids_.erase(attr_ids_.begin() + dense);
-  names_.erase(names_.begin() + dense);
-  if (ngram_n_ > 0) ngram_sets_.erase(ngram_sets_.begin() + dense);
+  name_of_.erase(name_of_.begin() + dense);
 
   // No row points at `dense` anymore; shift every later index down. The
   // mapping is monotonic, so rows stay sorted by neighbor.
@@ -345,7 +398,8 @@ uint64_t SimilarityGraph::Fingerprint() const {
     mix((static_cast<uint64_t>(static_cast<uint32_t>(id.source)) << 32) |
         static_cast<uint32_t>(id.attr_index));
   }
-  for (const std::string& name : names_) {
+  for (int32_t name_id : name_of_) {
+    const std::string& name = names_[static_cast<size_t>(name_id)];
     uint64_t inner = 1469598103934665603ull;
     for (char c : name) inner = (inner ^ static_cast<uint8_t>(c)) * 1099511628211ull;
     mix(inner);
@@ -363,12 +417,10 @@ uint64_t SimilarityGraph::Fingerprint() const {
 double SimilarityGraph::PairSimilarity(int a, int b) const {
   UBE_DCHECK(a >= 0 && a < num_attributes() && b >= 0 && b < num_attributes(),
              "dense index out of range");
-  if (ngram_n_ > 0) {
-    return ngram_sets_[static_cast<size_t>(a)].Jaccard(
-        ngram_sets_[static_cast<size_t>(b)]);
-  }
-  return measure_->Score(names_[static_cast<size_t>(a)],
-                         names_[static_cast<size_t>(b)]);
+  const size_t x = static_cast<size_t>(name_of_[static_cast<size_t>(a)]);
+  const size_t y = static_cast<size_t>(name_of_[static_cast<size_t>(b)]);
+  if (ngram_n_ > 0) return ngram_sets_[x].Jaccard(ngram_sets_[y]);
+  return measure_->Score(names_[x], names_[y]);
 }
 
 }  // namespace ube

@@ -1,8 +1,10 @@
 #ifndef UBE_MATCHING_SIMILARITY_GRAPH_H_
 #define UBE_MATCHING_SIMILARITY_GRAPH_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "schema/schema.h"
@@ -22,9 +24,16 @@ namespace ube {
 /// similarity reaches `floor` (any matching threshold θ used later must be
 /// ≥ floor). Attributes are addressed by a dense universe-wide index.
 ///
-/// The graph owns its similarity measure; there is a fast path for the
-/// paper's default n-gram Jaccard measure (per-attribute n-gram sets are
-/// precomputed once, making construction O(#pairs · avg-name-length)).
+/// The graph owns its similarity measure. Attribute names are interned, and
+/// the similarity of each distinct name pair is computed at most once per
+/// build: deep-web interfaces reuse labels, so K distinct names are far fewer
+/// than n attributes. For the paper's default n-gram Jaccard measure the
+/// candidate names come from an inverted index over n-grams and each score
+/// from a shared-gram count; other measures score every distinct name pair.
+/// Each name keeps a sparse row of the names it has an edge to, and the
+/// attribute rows are filled by lookup. Construction costs the walk over
+/// each name's posting lists plus an n²/2 lookup scan with a small constant;
+/// no K² table is stored.
 class SimilarityGraph {
  public:
   struct Edge {
@@ -37,8 +46,8 @@ class SimilarityGraph {
                   std::unique_ptr<AttributeSimilarity> similarity,
                   double floor);
 
-  /// Convenience: paper defaults (3-gram Jaccard, floor 0.0 keeps every
-  /// nonzero edge).
+  /// Convenience: paper defaults (3-gram Jaccard; floor 0.25, and floor 0.0
+  /// keeps every nonzero edge).
   static SimilarityGraph WithDefaults(const Universe& universe,
                                       double floor = 0.25);
 
@@ -70,7 +79,9 @@ class SimilarityGraph {
   // The patch operations keep the graph byte-identical to a from-scratch
   // rebuild over the mutated universe (Fingerprint() is the oracle the
   // property suite checks): only edges incident to the changed source are
-  // recomputed, every other row is renumbered in place.
+  // recomputed, every other row is renumbered in place. A recomputed row
+  // costs one name row (its name scored against the K interned names) plus
+  // a lookup scan over the n attributes; the renumbering is O(E).
 
   /// Removes every attribute of `source` from the graph (the source's slot
   /// stays — it just becomes zero-width, exactly as rebuilding over a
@@ -92,8 +103,8 @@ class SimilarityGraph {
   // to it. Same bit-identity contract as the source-level patches.
 
   /// Attribute `attr_index` of `source` was renamed in place: its dense
-  /// index and AttributeId are unchanged, but its name, n-gram set and every
-  /// incident edge are recomputed.
+  /// index and AttributeId are unchanged, but its name is re-interned and
+  /// every incident edge recomputed.
   void PatchAttributeRenamed(const Universe& universe, SourceId source,
                              int attr_index);
 
@@ -123,20 +134,34 @@ class SimilarityGraph {
   /// Drops every edge incident to row `dense` (mirrors included) and clears
   /// the row.
   void EraseRowEdges(int dense);
-  /// Computes the edges of row `dense` against every attribute outside
-  /// [block_first, block_last) — the row's own source block — mirroring
-  /// each edge into the neighbor's sorted row. The row must be empty.
-  void RecomputeRow(int dense, int block_first, int block_last);
+  /// Returns the id of `name`, interning it (and indexing its n-grams) on
+  /// first sight. Interned names are append-only; a name no attribute uses
+  /// any more stays, but is never looked up by an attribute row.
+  int32_t Intern(const std::string& name);
+  /// Computes the edges of rows [first, last) against every attribute
+  /// outside each row's own source block, mirroring each edge into the
+  /// neighbor's sorted row. The rows must be empty, and [first, last) is
+  /// either every row (construction) or lies inside one source block (the
+  /// patches). Construction and every patch that recomputes rows go through
+  /// here, so edge floats match a rebuild bit for bit.
+  void FillRows(int first, int last);
 
   double floor_;
   std::unique_ptr<AttributeSimilarity> measure_;
   std::vector<AttributeId> attr_ids_;          // dense index -> id
   std::vector<int> source_offsets_;            // source -> first dense index
-  std::vector<std::string> names_;             // dense index -> raw name
-  std::vector<NgramSet> ngram_sets_;           // fast path only
+  std::vector<int32_t> name_of_;               // dense index -> name id
   std::vector<std::vector<Edge>> adjacency_;
   size_t num_edges_ = 0;
-  int ngram_n_ = 0;  // >0 => n-gram Jaccard fast path active
+
+  // Interned names, indexed by name id.
+  std::vector<std::string> names_;             // raw name
+  std::unordered_map<std::string, int32_t> name_ids_;
+  // n-gram fast path only (ngram_n_ > 0).
+  int ngram_n_ = 0;
+  std::vector<NgramSet> ngram_sets_;           // name id -> n-gram set
+  std::unordered_map<uint64_t, std::vector<int32_t>> postings_;  // gram -> ids
+  std::vector<int32_t> empty_names_;           // ids with no n-gram
 };
 
 }  // namespace ube

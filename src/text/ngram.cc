@@ -62,11 +62,14 @@ size_t NgramSet::UnionSize(const NgramSet& other) const {
 }
 
 double NgramSet::Jaccard(const NgramSet& other) const {
-  if (empty() && other.empty()) return 1.0;
-  size_t inter = IntersectionSize(other);
-  size_t uni = grams_.size() + other.grams_.size() - inter;
+  return JaccardFromCounts(IntersectionSize(other), grams_.size(),
+                           other.grams_.size());
+}
+
+double JaccardFromCounts(size_t intersection, size_t size_a, size_t size_b) {
+  const size_t uni = size_a + size_b - intersection;
   if (uni == 0) return 1.0;
-  return static_cast<double>(inter) / static_cast<double>(uni);
+  return static_cast<double>(intersection) / static_cast<double>(uni);
 }
 
 double NgramJaccard(std::string_view a, std::string_view b, int n) {

@@ -13,8 +13,8 @@ namespace ube {
 ///
 /// The paper measures attribute similarity as "the Jaccard similarity
 /// coefficient between the 3-grams in the attribute names" (Section 3);
-/// NgramSet is the precomputed per-attribute representation that makes the
-/// O(#attributes²) similarity-graph construction cheap.
+/// NgramSet is the precomputed per-name representation the similarity graph
+/// indexes and scores.
 class NgramSet {
  public:
   NgramSet() = default;
@@ -48,6 +48,12 @@ class NgramSet {
  private:
   std::vector<uint64_t> grams_;  // sorted, unique
 };
+
+/// Jaccard coefficient of two sets from their sizes and the size of their
+/// intersection: |A ∩ B| / (|A| + |B| − |A ∩ B|), 1.0 when both are empty.
+/// NgramSet::Jaccard and the similarity graph's shared-gram counting both
+/// score through this one formula.
+double JaccardFromCounts(size_t intersection, size_t size_a, size_t size_b);
 
 /// Convenience: Jaccard over n-grams of two raw strings (each normalized by
 /// NormalizeAttributeName first).

@@ -1,6 +1,8 @@
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -192,10 +194,100 @@ INSTANTIATE_TEST_SUITE_P(
         BadCatalogCase{"bad_exact_id",
                        "[source]\nname = x\nattributes = a\n"
                        "signature = exact:1,two\n",
-                       "malformed exact"}),
+                       "malformed exact"},
+        // Non-finite and overflowing numbers: an infinite characteristic
+        // normalizes every finite one to 0 (or makes Q(S) NaN), and an
+        // overflowing integer is undefined behaviour in the parser.
+        BadCatalogCase{"characteristic_negative_infinity",
+                       "[source]\nname = x\nattributes = a\n"
+                       "char.mttf = -inf\n",
+                       "must be a number"},
+        BadCatalogCase{"characteristic_infinity",
+                       "[source]\nname = x\nattributes = a\n"
+                       "char.mttf = inf\n",
+                       "must be a number"},
+        BadCatalogCase{"characteristic_overflows_double",
+                       "[source]\nname = x\nattributes = a\n"
+                       "char.mttf = 1e309\n",
+                       "must be a number"},
+        BadCatalogCase{"characteristic_nan",
+                       "[source]\nname = x\nattributes = a\n"
+                       "char.mttf = nan\n",
+                       "must be a number"},
+        BadCatalogCase{"cardinality_overflows_int64",
+                       "[source]\nname = x\nattributes = a\n"
+                       "cardinality = 99999999999999999999\n",
+                       "non-negative"},
+        // Signatures of one catalog are merged into one union estimate, so
+        // they must share a kind and a PCSA width.
+        BadCatalogCase{"mixed_signature_kinds",
+                       "[source]\nname = x\nattributes = a\n"
+                       "signature = pcsa:1:00000003\n"
+                       "[source]\nname = y\nattributes = a\n"
+                       "signature = exact:1,2,3\n",
+                       "source 'y' has a signature of format exact but "
+                       "source 'x' has pcsa:1"},
+        BadCatalogCase{"mixed_pcsa_widths",
+                       "[source]\nname = x\nattributes = a\n"
+                       "signature = pcsa:1:00000003\n"
+                       "[source]\nname = y\nattributes = a\n"
+                       "signature = pcsa:2:0000000300000001\n",
+                       "source 'y' has a signature of format pcsa:2"}),
     [](const ::testing::TestParamInfo<BadCatalogCase>& info) {
       return info.param.label;
     });
+
+// The generated universes carry pcsa:64 signatures. Editing the first
+// source's signature to another kind or width must fail at parse time,
+// naming that source and the line of its signature, instead of parsing and
+// then aborting the process when a solve merges the signatures.
+TEST(CatalogErrorTest, MismatchedSignatureInGeneratedCatalogNamesItsLine) {
+  WorkloadConfig config;
+  config.num_sources = 30;
+  config.seed = 7;
+  config.scale = 0.01;
+  GeneratedWorkload workload = GenerateWorkload(config);
+  const std::string text = WriteCatalog(workload.universe);
+  ASSERT_TRUE(ParseCatalog(text).ok());
+
+  // Name of the [source] block that contains text position `at`.
+  auto owner = [](const std::string& catalog, size_t at) {
+    const std::string key = "name        = ";
+    const size_t name_at = catalog.rfind(key, at) + key.size();
+    return catalog.substr(name_at, catalog.find('\n', name_at) - name_at);
+  };
+  auto line_of = [](const std::string& catalog, size_t at) {
+    return 1 + static_cast<int>(std::count(
+                   catalog.begin(), catalog.begin() + at, '\n'));
+  };
+  const std::string kPcsa64 = "signature   = pcsa:64:";
+  const size_t at = text.find(kPcsa64);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(owner(text, at), workload.universe.source(0).name());
+  const size_t end = text.find('\n', at);
+  const std::pair<std::string, std::string> kEdits[] = {
+      {"signature   = exact:1,2,3", "exact"},
+      {"signature   = pcsa:32:" + std::string(32 * 8, '0'), "pcsa:32"}};
+  for (const auto& [replacement, format] : kEdits) {
+    SCOPED_TRACE(format);
+    std::string edited = text;
+    edited.replace(at, end - at, replacement);
+    Result<Universe> parsed = ParseCatalog(edited);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    const std::string& message = parsed.status().message();
+    // The edited first source sets the format, so the next signed source
+    // is the first one whose signature differs from it.
+    const size_t next = edited.find(kPcsa64, at);
+    ASSERT_NE(next, std::string::npos);
+    EXPECT_NE(message.find("line " + std::to_string(line_of(edited, next)) +
+                           ": source '" + owner(edited, next) +
+                           "' has a signature of format pcsa:64 but source '" +
+                           owner(edited, at) + "' has " + format + ";"),
+              std::string::npos)
+        << message;
+  }
+}
 
 TEST(CatalogErrorTest, ErrorReportsCorrectLineNumber) {
   Result<Universe> universe =
@@ -296,6 +388,10 @@ INSTANTIATE_TEST_SUITE_P(
         BadCatalogCase{"stale_not_numeric",
                        "[source]\nname = x\nattributes = a\n"
                        "state = stale:very\n",
+                       "(0, 1]"},
+        BadCatalogCase{"stale_nan",
+                       "[source]\nname = x\nattributes = a\n"
+                       "state = stale:nan\n",
                        "(0, 1]"},
         BadCatalogCase{"missing_attributes_still_errors_when_not_dropped",
                        "[source]\nname = x\nstate = missing\n",

@@ -8,6 +8,8 @@
 // non-negative), and HybridSimilarity's kMax is the pointwise max of its
 // members and dominates kWeightedMean.
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -178,6 +180,230 @@ TEST(SimilarityPropertyTest, HybridCombinatorLaws) {
     EXPECT_GE(mean, lo - 1e-12);
     EXPECT_LE(mean, hi + 1e-12);
     EXPECT_GE(as_max.Score(a, b), mean - 1e-12);
+  }
+}
+
+// Graph-content oracle. It checks a SimilarityGraph against its definition
+// through the public API only, so it catches a bug that construction and the
+// live patches share (the patch-vs-rebuild suite compares two outputs of the
+// same code and cannot). Every cross-source attribute pair a < b is scored
+// directly, s = measure().Score(name_a, name_b): the edge is in both rows
+// exactly when s >= floor && s > 0, stored as static_cast<float>(s). Rows
+// are sorted by neighbor, same-source pairs have no edge, and num_edges()
+// is the brute-force count.
+void ExpectGraphMatchesDefinition(const Universe& universe,
+                                  const SimilarityGraph& graph) {
+  std::vector<AttributeId> ids;  // dense order
+  std::vector<std::string> names;
+  for (SourceId s = 0; s < universe.num_sources(); ++s) {
+    const SourceSchema& schema = universe.source(s).schema();
+    for (int i = 0; i < schema.num_attributes(); ++i) {
+      ASSERT_EQ(graph.DenseIndex(AttributeId{s, i}),
+                static_cast<int>(ids.size()));
+      ids.push_back(AttributeId{s, i});
+      names.push_back(schema.attribute_name(i));
+    }
+  }
+  const int n = static_cast<int>(ids.size());
+  ASSERT_EQ(graph.num_attributes(), n);
+
+  // Pairs are visited a-major, so each expected row collects its lower
+  // neighbors (from earlier a) before its higher ones: rows come out sorted.
+  std::vector<std::vector<SimilarityGraph::Edge>> expected(
+      static_cast<size_t>(n));
+  size_t expected_edges = 0;
+  for (int a = 0; a < n; ++a) {
+    ASSERT_EQ(graph.Name(a), names[static_cast<size_t>(a)]);
+    ASSERT_EQ(graph.AttrId(a), ids[static_cast<size_t>(a)]);
+    for (int b = a + 1; b < n; ++b) {
+      if (ids[static_cast<size_t>(a)].source ==
+          ids[static_cast<size_t>(b)].source) {
+        continue;
+      }
+      const double s = graph.measure().Score(names[static_cast<size_t>(a)],
+                                             names[static_cast<size_t>(b)]);
+      if (s >= graph.floor() && s > 0.0) {
+        const float stored = static_cast<float>(s);
+        expected[static_cast<size_t>(a)].push_back({b, stored});
+        expected[static_cast<size_t>(b)].push_back({a, stored});
+        ++expected_edges;
+      }
+    }
+  }
+  EXPECT_EQ(graph.num_edges(), expected_edges);
+  for (int a = 0; a < n; ++a) {
+    const auto& row = graph.EdgesOf(a);
+    const auto& want = expected[static_cast<size_t>(a)];
+    ASSERT_EQ(row.size(), want.size())
+        << "row " << a << " (\"" << names[static_cast<size_t>(a)] << "\")";
+    for (size_t k = 0; k < row.size(); ++k) {
+      ASSERT_EQ(row[k].neighbor, want[k].neighbor)
+          << "row " << a << " edge " << k;
+      ASSERT_EQ(std::bit_cast<uint32_t>(row[k].similarity),
+                std::bit_cast<uint32_t>(want[k].similarity))
+          << "row " << a << " -> " << want[k].neighbor;
+    }
+  }
+}
+
+std::unique_ptr<AttributeSimilarity> OracleMeasure(bool ngram) {
+  if (ngram) return MakeDefaultSimilarity();
+  return std::make_unique<LevenshteinSimilarity>();
+}
+
+constexpr double kOracleFloors[] = {0.0, 0.25, 1.0};
+
+// Fresh graphs over testkit universes (every floor, both measures), then one
+// measure/floor pairing per case checked after every event of a seeded
+// churn trace with schema drift.
+TEST(SimilarityPropertyTest, GraphContentMatchesDefinition) {
+  PropertyRunner runner("graph-content-oracle", 30);
+  for (int c = 0; c < runner.num_cases(); ++c) {
+    SCOPED_TRACE(runner.Replay(c));
+    Rng rng = runner.CaseRng(c);
+    testkit::UniverseGenOptions gen;
+    gen.min_sources = 4;
+    gen.max_sources = 12;
+    gen.max_attributes = 7;
+    Universe universe = testkit::GenerateUniverse(rng, gen);
+    for (bool ngram : {true, false}) {
+      for (double floor : kOracleFloors) {
+        SCOPED_TRACE(std::string(ngram ? "ngram" : "levenshtein") +
+                     " floor " + std::to_string(floor));
+        SimilarityGraph graph(universe, OracleMeasure(ngram), floor);
+        ExpectGraphMatchesDefinition(universe, graph);
+        if (HasFatalFailure()) return;
+      }
+    }
+
+    ChurnFeedConfig config;
+    config.seed = rng.Next64();
+    config.events_per_sec = 2.0;
+    config.horizon_ms = 8'000.0;
+    ChurnTrace trace = GenerateChurnTrace(universe, config).value();
+    const bool ngram = c % 2 == 0;
+    const double floor = kOracleFloors[(c / 2) % 3];
+    SCOPED_TRACE(std::string(ngram ? "live ngram" : "live levenshtein") +
+                 " floor " + std::to_string(floor));
+    LiveUniverse::Options live_options;
+    live_options.similarity = OracleMeasure(ngram);
+    live_options.similarity_floor = floor;
+    LiveUniverse live(CloneUniverse(universe), std::move(live_options));
+    int step = 0;
+    for (const ChurnEvent& event : trace.events) {
+      SCOPED_TRACE("event " + std::to_string(step++) + " kind " +
+                   std::string(ChurnEventKindName(event.kind)));
+      ASSERT_TRUE(live.Apply(event).ok());
+      ExpectGraphMatchesDefinition(live.universe(), live.graph());
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// Names that stress name handling: "#" and "--" normalize to "" (empty
+// n-gram sets, Jaccard(∅, ∅) = 1), case/punctuation variants of one word,
+// and a name repeated within one source (which must still get no
+// same-source edge). Checked fresh and after hand-written events that
+// rename, add and revive with the same kinds of names.
+Universe EdgeCaseNameUniverse() {
+  Universe universe;
+  universe.AddSource(
+      DataSource("s0", SourceSchema({"#", "Title", "title", "isbn"})));
+  universe.AddSource(
+      DataSource("s1", SourceSchema({"--", "TITLE!", "title", "title"})));
+  universe.AddSource(
+      DataSource("s2", SourceSchema({"#", "price", "Price ", "a"})));
+  universe.AddSource(DataSource("s3", SourceSchema({"title", "b"})));
+  return universe;
+}
+
+TEST(SimilarityPropertyTest, GraphContentEdgeCaseNames) {
+  for (bool ngram : {true, false}) {
+    for (double floor : kOracleFloors) {
+      SCOPED_TRACE(std::string(ngram ? "ngram" : "levenshtein") + " floor " +
+                   std::to_string(floor));
+      Universe universe = EdgeCaseNameUniverse();
+      SimilarityGraph graph(universe, OracleMeasure(ngram), floor);
+      ExpectGraphMatchesDefinition(universe, graph);
+      // The two empty-normalizing names are identical to the measure.
+      const int hash = graph.DenseIndex({0, 0});
+      const int dashes = graph.DenseIndex({1, 0});
+      const auto& row = graph.EdgesOf(hash);
+      EXPECT_TRUE(std::any_of(row.begin(), row.end(),
+                              [dashes](const SimilarityGraph::Edge& e) {
+                                return e.neighbor == dashes &&
+                                       e.similarity == 1.0f;
+                              }));
+      // The repeated "title" of s1 never links to itself.
+      const int first_title = graph.DenseIndex({1, 2});
+      const int second_title = graph.DenseIndex({1, 3});
+      for (const auto& edge : graph.EdgesOf(first_title)) {
+        EXPECT_NE(edge.neighbor, second_title);
+      }
+
+      LiveUniverse::Options live_options;
+      live_options.similarity = OracleMeasure(ngram);
+      live_options.similarity_floor = floor;
+      LiveUniverse live(EdgeCaseNameUniverse(), std::move(live_options));
+      std::vector<ChurnEvent> events;
+      auto rename = [&events](SourceId source, int index, std::string name) {
+        ChurnEvent event;
+        event.kind = ChurnEventKind::kAttrRename;
+        event.source = source;
+        event.attr_index = index;
+        event.attr_name = std::move(name);
+        events.push_back(std::move(event));
+      };
+      rename(0, 3, "--");      // empty-normalizing; "isbn" falls out of use
+      rename(2, 3, "TITLE!");  // already interned; "a" falls out of use
+      rename(2, 0, "title");   // "#" is still used by s0
+      {
+        ChurnEvent event;
+        event.kind = ChurnEventKind::kAttrAdd;
+        event.source = 3;
+        event.attr_index = 2;
+        event.attr_name = "title";  // repeated within s3
+        events.push_back(std::move(event));
+      }
+      {
+        ChurnEvent event;
+        event.kind = ChurnEventKind::kRemove;
+        event.source = 1;
+        events.push_back(std::move(event));
+      }
+      {
+        ChurnEvent event;
+        event.kind = ChurnEventKind::kAdd;
+        event.source = 4;
+        event.added = std::make_unique<DataSource>(
+            "s4", SourceSchema({"#", "Title", "title", "brand new"}));
+        events.push_back(std::move(event));
+      }
+      {
+        ChurnEvent event;
+        event.kind = ChurnEventKind::kAdd;
+        event.source = 1;
+        event.revive = true;
+        events.push_back(std::move(event));
+      }
+      {
+        ChurnEvent event;
+        event.kind = ChurnEventKind::kAttrDrop;
+        event.source = 0;
+        event.attr_index = 1;
+        events.push_back(std::move(event));
+      }
+      int step = 0;
+      for (const ChurnEvent& event : events) {
+        SCOPED_TRACE("event " + std::to_string(step++) + " kind " +
+                     std::string(ChurnEventKindName(event.kind)));
+        ASSERT_TRUE(live.Apply(event).ok());
+        ExpectGraphMatchesDefinition(live.universe(), live.graph());
+        ASSERT_EQ(live.graph().Fingerprint(),
+                  SimilarityGraph(live.universe(), OracleMeasure(ngram), floor)
+                      .Fingerprint());
+      }
+    }
   }
 }
 
