@@ -3,9 +3,9 @@
 // and we found that tabu search gives the best results ... more robust and
 // generates higher quality solutions".
 //
-// This ablation runs every registered solver (via AllSolverKinds(), so the
-// portfolio racer is included) on identical instances with a matched
-// evaluation budget and reports mean/min quality and time over seeds.
+// This ablation runs every registered solver (via AllSolverKinds()) on
+// identical instances with a matched evaluation budget and reports mean/min
+// quality and time over seeds.
 // --repeat N controls the seeds per randomized solver (default 5);
 // deterministic solvers (per SolverTraitsFor) run once.
 #include <algorithm>

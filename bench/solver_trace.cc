@@ -65,9 +65,7 @@ int main(int argc, char** argv) {
   std::string out_csv = "solver_trace.csv";
   const std::string default_golden =
       std::string(UBE_TEST_DATA_DIR) + "/golden_small_universe.json";
-  bench.flags().AddString("--solver",
-                          "solver to trace (see SolverKindName; includes "
-                          "portfolio)",
+  bench.flags().AddString("--solver", "solver to trace (see SolverKindName)",
                           &solver_name);
   bench.flags().AddOptionalString("--golden",
                                   "use the pinned golden universe "

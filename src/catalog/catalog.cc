@@ -170,16 +170,6 @@ Result<std::unique_ptr<DistinctSignature>> ParseSignature(
                               "' (expected pcsa or exact)");
 }
 
-// "pcsa:<bitmaps>" or "exact": the part of a signature that must agree
-// across a universe, because the union estimate merges every member's
-// signature into one.
-std::string SignatureFormat(const DistinctSignature& signature) {
-  if (const auto* pcsa = dynamic_cast<const PcsaSignature*>(&signature)) {
-    return "pcsa:" + std::to_string(pcsa->sketch().num_bitmaps());
-  }
-  return "exact";
-}
-
 // The first signed source of a catalog; every later signature must match
 // its format.
 struct FirstSignature {

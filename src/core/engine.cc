@@ -199,18 +199,20 @@ Result<ContinuousReport> Engine::RunContinuous(
   while (next < trace.events.size()) {
     obs::Tracer::Span batch_span = obs::SpanIf(obs_, "phase/churn_batch");
     // One batch = every event inside a batch_ms window anchored at the
-    // first unapplied event, answered with a single repair / re-solve.
+    // first unapplied event, answered with a single repair / re-solve. The
+    // anchor is applied unconditionally, so every batch advances (or Apply
+    // rejects the event — a NaN time would admit nothing into its window).
     const double window_end = trace.events[next].time_ms + options.batch_ms;
     ContinuousStep step;
     double batch_time = trace.events[next].time_ms;
-    while (next < trace.events.size() &&
-           trace.events[next].time_ms <= window_end + 1e-9) {
+    do {
       UBE_RETURN_IF_ERROR(live_.Apply(trace.events[next]));
       batch_time = trace.events[next].time_ms;
       ++step.events_applied;
       if (IsSchemaDrift(trace.events[next].kind)) ++step.drift_events;
       ++next;
-    }
+    } while (next < trace.events.size() &&
+             trace.events[next].time_ms <= window_end + 1e-9);
     unavailable_ = live_.universe().UnavailableIds();
     step.time_ms = batch_time;
     report.events_applied += step.events_applied;

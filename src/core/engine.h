@@ -169,8 +169,6 @@ class Engine {
   const AcquisitionReport* acquisition_report() const {
     return acquisition_report_.has_value() ? &*acquisition_report_ : nullptr;
   }
-  /// Mutable so the user can re-weight QEFs between iterations.
-  QualityModel& mutable_quality_model() { return model_; }
   const SimilarityGraph& similarity_graph() const { return live_.graph(); }
   const ClusterMatcher& matcher() const { return live_.matcher(); }
   /// The live universe behind the engine (version, health registry).

@@ -49,15 +49,17 @@ namespace ube {
 /// to the wrapped CandidateEvaluator and behavior is unchanged, including
 /// the parallel batch path.
 ///
-/// Cache and counter parity: the delta path probes and populates the SAME
-/// sharded quality cache as the full path (cross-restart reuse keeps
-/// working) and bumps num_evaluations / num_cache_hits / the eval.* metrics
-/// with identical semantics, so eval budgets (SolverOptions::
-/// max_evaluations) stop at exactly the same point with delta on or off.
+/// Cache and counter parity: the delta path runs the wrapped evaluator's
+/// own memo path and batch loop (CandidateEvaluator::Memoized and
+/// MemoizedBatch), passing only its per-miss computation, so it probes and
+/// populates the same quality cache (cross-restart reuse keeps working) and
+/// bumps num_evaluations / num_cache_hits / the eval.* metrics with
+/// identical semantics: eval budgets (SolverOptions::max_evaluations) stop
+/// at exactly the same point with delta on or off.
 ///
 /// Not thread safe: one instance per Solve call, used from the solver's
-/// driving thread only (delta computes are cheap enough that the batch
-/// phases run sequentially; thread-count invariance is then trivial).
+/// driving thread only (delta computes are cheap enough that misses are
+/// computed inline; thread-count invariance is then trivial).
 class DeltaEvaluator {
  public:
   /// `evaluator` must outlive this object. `enable` = false forces
@@ -74,8 +76,8 @@ class DeltaEvaluator {
 
   const CandidateEvaluator& evaluator() const { return *evaluator_; }
 
-  /// Q(S), memoized in the shared cache — the delta counterpart of
-  /// CandidateEvaluator::Quality.
+  /// Q(S) through the evaluator's memo path, computed by the delta path on
+  /// a miss — the delta counterpart of CandidateEvaluator::Quality.
   double Quality(const std::vector<SourceId>& candidate);
 
   /// Scores arbitrary candidates (PSO positions, greedy extensions) in
@@ -115,11 +117,11 @@ class DeltaEvaluator {
     const std::vector<uint32_t>* pcsa_words = nullptr;
   };
 
-  /// Shared three-phase (probe / compute / publish) batch loop; `moves`
-  /// (parallel to `candidates`) selects the incremental union path, null
-  /// computes unions from scratch.
-  std::vector<double> Batch(std::span<const std::vector<SourceId>> candidates,
-                            const SearchState::Move* moves);
+  /// The per-miss computation: counts one evaluation and scores
+  /// `candidate`, taking its union via `move` against the current base when
+  /// given on the uniform-PCSA path, from scratch otherwise.
+  QualityBreakdown Score(const std::vector<SourceId>& candidate,
+                         const SearchState::Move* move);
 
   /// Fills every EvalContext aggregate except union_estimate (exact int
   /// sums, plus double sums re-accumulated in candidate order).
@@ -132,9 +134,6 @@ class DeltaEvaluator {
   /// |∪ base±move| via the prefix/suffix OR arrays (uniform-PCSA only).
   double UnionForMove(const SearchState::Move& move);
 
-  /// Compute without cache, union via the move against the current base.
-  double ComputeForMove(const SearchState::Move& move,
-                        const std::vector<SourceId>& candidate);
   /// Rebuilds the admitted-member prefix/suffix unions for a new base.
   void Rebase(const std::vector<SourceId>& base);
 

@@ -1,8 +1,6 @@
 #include "optimize/evaluator.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstddef>
 #include <cstring>
 
 #include "obs/obs.h"
@@ -96,41 +94,43 @@ uint64_t SharedQualityCache::SlotKey(uint64_t fingerprint,
   return mix_fingerprint_ ? SplitMix64(fingerprint ^ key) : key;
 }
 
-bool SharedQualityCache::Lookup(uint64_t fingerprint, uint64_t key,
-                                const std::vector<SourceId>& candidate,
-                                double* quality) const {
+SharedQualityCache::Probe SharedQualityCache::Lookup(
+    uint64_t fingerprint, uint64_t key, const std::vector<SourceId>& candidate,
+    double* quality) const {
   const uint64_t slot = SlotKey(fingerprint, key);
   Shard& shard = ShardFor(slot);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(slot);
   if (it == shard.map.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+    return Probe::kMiss;
   }
   // Verify fingerprint AND candidate: a slot collision between two specs
   // (or two candidates) must recompute, never cross-serve a tenant.
   if (it->second.fingerprint != fingerprint ||
       it->second.candidate != candidate) {
     rejects_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+    return Probe::kReject;
   }
   *quality = it->second.quality;
   hits_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  return Probe::kHit;
 }
 
-void SharedQualityCache::Insert(uint64_t fingerprint, uint64_t key,
+bool SharedQualityCache::Insert(uint64_t fingerprint, uint64_t key,
                                 const std::vector<SourceId>& candidate,
                                 double quality) {
   const uint64_t slot = SlotKey(fingerprint, key);
   Shard& shard = ShardFor(slot);
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.map.size() >= max_entries_per_shard_) {
+  const bool evict = shard.map.size() >= max_entries_per_shard_;
+  if (evict) {
     shard.map.clear();
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
   shard.map[slot] = Entry{fingerprint, candidate, quality};
   insertions_.fetch_add(1, std::memory_order_relaxed);
+  return evict;
 }
 
 void SharedQualityCache::Clear() {
@@ -279,8 +279,7 @@ CandidateEvaluator::Evaluation CandidateEvaluator::Evaluate(
   }
 #endif
 
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
-  if (obs_.ctx != nullptr) obs_.ctx->metrics().Add(obs_.computed);
+  CountEvaluation();
   Evaluation out;
   if (needs_match_) {
     MatchOptions options;
@@ -309,135 +308,33 @@ uint64_t CandidateEvaluator::CacheKey(
 bool CandidateEvaluator::CacheLookup(uint64_t key,
                                      const std::vector<SourceId>& candidate,
                                      double* quality) const {
-  if (shared_cache_ != nullptr) {
-    return shared_cache_->Lookup(spec_fingerprint_, key, candidate, quality);
+  const SharedQualityCache::Probe probe =
+      cache().Lookup(spec_fingerprint_, key, candidate, quality);
+  if (probe == SharedQualityCache::Probe::kReject && obs_.ctx != nullptr) {
+    obs_.ctx->metrics().Add(obs_.collision_recompute);
   }
-  CacheShard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) return false;
-  // Verify the stored candidate: a 64-bit collision must recompute, never
-  // hand back another candidate's quality.
-  if (it->second.candidate != candidate) {
-    if (obs_.ctx != nullptr) {
-      obs_.ctx->metrics().Add(obs_.collision_recompute);
-    }
-    return false;
-  }
-  *quality = it->second.quality;
-  return true;
+  return probe == SharedQualityCache::Probe::kHit;
 }
 
 void CandidateEvaluator::CacheInsert(uint64_t key,
                                      const std::vector<SourceId>& candidate,
                                      double quality) const {
-  if (shared_cache_ != nullptr) {
-    shared_cache_->Insert(spec_fingerprint_, key, candidate, quality);
-    return;
+  if (cache().Insert(spec_fingerprint_, key, candidate, quality) &&
+      obs_.ctx != nullptr) {
+    obs_.ctx->metrics().Add(obs_.shard_eviction);
   }
-  CacheShard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.map.size() >= max_entries_per_shard_) {
-    shard.map.clear();
-    if (obs_.ctx != nullptr) obs_.ctx->metrics().Add(obs_.shard_eviction);
-  }
-  shard.map[key] = CacheEntry{candidate, quality};
 }
 
-double CandidateEvaluator::Quality(
-    const std::vector<SourceId>& candidate) const {
-  uint64_t key = CacheKey(candidate);
-  double quality = 0.0;
-  if (CacheLookup(key, candidate, &quality)) {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    if (obs_.ctx != nullptr) obs_.ctx->metrics().Add(obs_.cache_hit);
-    return quality;
-  }
-  quality = Evaluate(candidate).quality;
-  CacheInsert(key, candidate, quality);
-  return quality;
+void CandidateEvaluator::CountEvaluation() const {
+  evaluations_.fetch_add(1, std::memory_order_relaxed);
+  if (obs_.ctx != nullptr) obs_.ctx->metrics().Add(obs_.computed);
 }
 
-std::vector<double> CandidateEvaluator::QualityBatch(
-    std::span<const std::vector<SourceId>> candidates,
-    ThreadPool* pool) const {
-  const size_t n = candidates.size();
-  std::vector<double> out(n, 0.0);
-  if (n == 0) return out;
-
-  obs::Tracer::Span span = obs::SpanIf(obs_.ctx, "eval/batch");
-  std::chrono::steady_clock::time_point batch_start;
-  if (obs_.ctx != nullptr) {
-    obs_.ctx->metrics().Observe(obs_.batch_size, static_cast<int64_t>(n));
-    batch_start = std::chrono::steady_clock::now();
-  }
-
-  // Phase 1 (sequential): probe the cache and deduplicate the misses, so a
-  // candidate appearing twice in one batch is computed once and the second
-  // occurrence counts as a cache hit — exactly what a sequence of Quality()
-  // calls would do. kResolved marks entries already answered from cache.
-  constexpr ptrdiff_t kResolved = -1;
-  std::vector<ptrdiff_t> miss_of(n, kResolved);  // index into `misses`
-  std::vector<size_t> misses;                    // first occurrence indices
-  std::vector<uint64_t> miss_keys;
-  std::unordered_map<uint64_t, std::vector<size_t>> pending;  // key → misses
-  int64_t hits = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const std::vector<SourceId>& candidate = candidates[i];
-    uint64_t key = CacheKey(candidate);
-    if (CacheLookup(key, candidate, &out[i])) {
-      ++hits;
-      continue;
-    }
-    std::vector<size_t>& bucket = pending[key];
-    bool duplicate = false;
-    for (size_t pos : bucket) {
-      if (candidates[misses[pos]] == candidate) {
-        miss_of[i] = static_cast<ptrdiff_t>(pos);
-        ++hits;
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate) continue;
-    miss_of[i] = static_cast<ptrdiff_t>(misses.size());
-    bucket.push_back(misses.size());
-    misses.push_back(i);
-    miss_keys.push_back(key);
-  }
-
-  // Phase 2: compute the unique misses — each a pure function of its
-  // candidate, so index order (and thread count) cannot change any value.
-  std::vector<double> computed(misses.size(), 0.0);
-  if (pool != nullptr && misses.size() > 1) {
-    pool->ParallelFor(misses.size(), [&](size_t j) {
-      computed[j] = Evaluate(candidates[misses[j]]).quality;
-    });
-  } else {
-    for (size_t j = 0; j < misses.size(); ++j) {
-      computed[j] = Evaluate(candidates[misses[j]]).quality;
-    }
-  }
-
-  // Phase 3 (sequential): publish to the cache and scatter the results.
-  for (size_t j = 0; j < misses.size(); ++j) {
-    CacheInsert(miss_keys[j], candidates[misses[j]], computed[j]);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (miss_of[i] != kResolved) {
-      out[i] = computed[static_cast<size_t>(miss_of[i])];
-    }
-  }
+void CandidateEvaluator::CountCacheHits(int64_t hits) const {
   cache_hits_.fetch_add(hits, std::memory_order_relaxed);
-  if (obs_.ctx != nullptr) {
-    if (hits > 0) obs_.ctx->metrics().Add(obs_.cache_hit, hits);
-    auto elapsed = std::chrono::steady_clock::now() - batch_start;
-    obs_.ctx->metrics().Observe(
-        obs_.batch_latency_us,
-        std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
-            .count());
+  if (obs_.ctx != nullptr && hits > 0) {
+    obs_.ctx->metrics().Add(obs_.cache_hit, hits);
   }
-  return out;
 }
 
 void CandidateEvaluator::AttachObs(obs::ObsContext* obs) const {
@@ -463,13 +360,6 @@ void CandidateEvaluator::AttachObs(obs::ObsContext* obs) const {
 void CandidateEvaluator::ResetCounters() const {
   evaluations_.store(0, std::memory_order_relaxed);
   cache_hits_.store(0, std::memory_order_relaxed);
-}
-
-void CandidateEvaluator::ClearCache() const {
-  for (CacheShard& shard : cache_shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
-  }
 }
 
 uint64_t CandidateEvaluator::HashCandidate(

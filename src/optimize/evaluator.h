@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "matching/cluster_matcher.h"
+#include "obs/obs.h"
 #include "optimize/problem.h"
 #include "qef/quality_model.h"
 #include "source/universe.h"
@@ -18,10 +21,6 @@
 #include "util/thread_pool.h"
 
 namespace ube {
-
-namespace obs {
-class ObsContext;
-}  // namespace obs
 
 class DeltaEvaluator;
 
@@ -35,20 +34,30 @@ class DeltaEvaluator;
 /// the stored candidate, so a 64-bit key collision recomputes instead of
 /// poisoning a tenant.
 ///
-/// Thread safety: Lookup/Insert are internally synchronized (sharded,
-/// mutex-striped like the evaluator's own cache) and safe from any number
-/// of concurrent sessions. Clear() is safe too but racing solvers may
+/// It is also the only quality cache: every CandidateEvaluator owns one
+/// instance and memoizes through it unless another one is attached.
+///
+/// Thread safety: Lookup/Insert are internally synchronized (16 shards,
+/// each with its own mutex and bounded map, so concurrent probes only
+/// contend when they land on the same shard) and safe from any number of
+/// concurrent sessions. Clear() is safe too but racing solvers may
 /// re-insert immediately.
 class SharedQualityCache {
  public:
   explicit SharedQualityCache(size_t max_entries_per_shard = 1u << 14);
 
-  /// True and fills *quality when `candidate` is cached under
-  /// (fingerprint, key) and the stored entry verifies.
-  bool Lookup(uint64_t fingerprint, uint64_t key,
-              const std::vector<SourceId>& candidate, double* quality) const;
+  enum class Probe {
+    kHit,     ///< cached and verified; *quality is filled
+    kMiss,    ///< nothing under this slot
+    kReject,  ///< the slot holds another spec's or candidate's entry
+  };
+  /// Looks `candidate` up under (fingerprint, key), verifying the stored
+  /// fingerprint and candidate on every hit.
+  Probe Lookup(uint64_t fingerprint, uint64_t key,
+               const std::vector<SourceId>& candidate, double* quality) const;
   /// Inserts (bounded: a full shard is cleared first; last writer wins).
-  void Insert(uint64_t fingerprint, uint64_t key,
+  /// Returns true when the insert cleared a full shard.
+  bool Insert(uint64_t fingerprint, uint64_t key,
               const std::vector<SourceId>& candidate, double quality);
   void Clear();
 
@@ -104,11 +113,9 @@ class SharedQualityCache {
 /// returns Q(S). Infeasible candidates (Match invalid on C) score 0.
 ///
 /// Because tabu search revisits neighbourhoods, Quality() memoizes Q(S) in
-/// a sharded, mutex-striped cache: candidates hash to one of
-/// kNumCacheShards shards (by hash prefix), each shard holding its own
-/// mutex and bounded map, so concurrent lookups/inserts only contend when
-/// they land on the same shard. Entries store the full candidate next to
-/// the value and verify it on every hit — a 64-bit hash collision therefore
+/// a SharedQualityCache: the evaluator's own instance, or one attached with
+/// AttachSharedCache. Entries store the full candidate next to the value
+/// and verify it on every hit — a 64-bit hash collision therefore
 /// recomputes instead of silently returning the wrong quality. A shard that
 /// reaches its bound evicts only itself (per-shard clear), never the whole
 /// cache. Full Evaluate() (with schema and breakdown) always computes.
@@ -168,7 +175,11 @@ class CandidateEvaluator {
   Evaluation Evaluate(const std::vector<SourceId>& candidate) const;
 
   /// Q(S) only, memoized.
-  double Quality(const std::vector<SourceId>& candidate) const;
+  double Quality(const std::vector<SourceId>& candidate) const {
+    return Memoized(candidate, [this](const std::vector<SourceId>& c) {
+      return Evaluate(c).quality;
+    });
+  }
 
   /// Q(S) for every candidate in `candidates` (same preconditions as
   /// Quality), returned in input order. Cache misses are evaluated on
@@ -177,7 +188,11 @@ class CandidateEvaluator {
   /// sequence of Quality() calls would count them.
   std::vector<double> QualityBatch(
       std::span<const std::vector<SourceId>> candidates,
-      ThreadPool* pool = nullptr) const;
+      ThreadPool* pool = nullptr) const {
+    return MemoizedBatch(candidates, pool, [this, candidates](size_t i) {
+      return Evaluate(candidates[i]).quality;
+    });
+  }
 
   /// C ∪ {sources referenced by G}, sorted unique — the sources every
   /// feasible candidate must contain (the "permanently tabu" region).
@@ -217,11 +232,11 @@ class CandidateEvaluator {
   }
   void ResetCounters() const;
 
-  /// Drops every memoized quality. Solvers call this (via BeginRun) so each
-  /// run starts cache-cold and reported evaluation counts/times are
-  /// comparable across solvers instead of crediting later runs with the
-  /// earlier runs' warm cache.
-  void ClearCache() const;
+  /// Drops every quality memoized in the evaluator's own cache. Solvers
+  /// call this (via BeginRun) so each run starts cache-cold and reported
+  /// evaluation counts/times are comparable across solvers instead of
+  /// crediting later runs with the earlier runs' warm cache.
+  void ClearCache() const { own_cache_.Clear(); }
 
   /// ClearCache() + ResetCounters(): what every Solve() invokes first.
   /// An attached shared cache deliberately survives — staying warm across
@@ -231,13 +246,13 @@ class CandidateEvaluator {
     ResetCounters();
   }
 
-  /// Routes this evaluator's memoization through `cache` instead of the
-  /// local shards (null detaches). Like AttachObs, not synchronized against
-  /// concurrent evaluation — attach before the search starts. Hits/misses
-  /// keep counting in this evaluator's counters, so budget stops behave
-  /// identically; only which store answers them changes.
+  /// Routes this evaluator's memoization through `cache` instead of its
+  /// own (null detaches). Like AttachObs, not synchronized against
+  /// concurrent evaluation — attach before the search starts. Hits, misses
+  /// and the eval.* metrics keep counting in this evaluator, so budget
+  /// stops behave identically; only which store answers them changes.
   void AttachSharedCache(SharedQualityCache* cache) const {
-    shared_cache_ = cache;
+    attached_cache_ = cache;
   }
 
   /// Attaches an observability context (null detaches). Records counters
@@ -254,16 +269,10 @@ class CandidateEvaluator {
   using HashFn = uint64_t (*)(const std::vector<SourceId>&);
   void SetHashFunctionForTesting(HashFn fn) { hash_fn_ = fn; }
 
-  /// Test hook: shrinks the per-shard cache bound so eviction is reachable
-  /// without inserting ~2^14 entries.
-  void SetShardCapacityForTesting(size_t max_entries_per_shard) {
-    max_entries_per_shard_ = max_entries_per_shard;
-  }
-
  private:
   /// The delta path (optimize/delta_evaluator.h) shares this evaluator's
-  /// universe tables, quality cache, counters and obs hooks so scores,
-  /// budgets and metrics stay identical with delta scoring on or off.
+  /// universe tables, memo paths, counters and obs hooks so scores, budgets
+  /// and metrics stay identical with delta scoring on or off.
   friend class DeltaEvaluator;
 
   static uint64_t HashCandidate(const std::vector<SourceId>& candidate);
@@ -273,27 +282,124 @@ class CandidateEvaluator {
   /// candidate sets are identical (the cross-spec poisoning fix).
   uint64_t CacheKey(const std::vector<SourceId>& candidate) const;
 
-  struct CacheEntry {
-    std::vector<SourceId> candidate;  // verified on hit (collision safety)
-    double quality = 0.0;
-  };
-  struct CacheShard {
-    mutable std::mutex mu;
-    std::unordered_map<uint64_t, CacheEntry> map;
-  };
-
-  CacheShard& ShardFor(uint64_t key) const {
-    // Key by hash prefix: the low bits index the shard's map buckets.
-    return cache_shards_[key >> (64 - kShardBits)];
+  /// The store that answers: the attached cache, else the evaluator's own.
+  SharedQualityCache& cache() const {
+    return attached_cache_ != nullptr ? *attached_cache_ : own_cache_;
   }
-  /// Returns true and fills *quality when `candidate` is cached under
-  /// `key`; does not touch counters.
+  /// Probes cache() and fills *quality on a verified hit; a rejected slot
+  /// counts eval.collision_recompute. Does not touch the hit counters.
   bool CacheLookup(uint64_t key, const std::vector<SourceId>& candidate,
                    double* quality) const;
-  /// Inserts (bounded: a full shard is cleared first). A colliding entry
-  /// for a different candidate is overwritten (last writer wins).
+  /// Publishes to cache(); a full-shard clear counts eval.shard_eviction.
   void CacheInsert(uint64_t key, const std::vector<SourceId>& candidate,
                    double quality) const;
+  /// Counts one computed evaluation (num_evaluations, eval.computed) —
+  /// every path that computes a Q(S) calls this once per candidate.
+  void CountEvaluation() const;
+  void CountCacheHits(int64_t hits) const;
+
+  /// The memo path behind every single-candidate Q(S): a verified cache
+  /// hit, or `compute(candidate)` published to the cache. `compute` is the
+  /// per-miss computation (full Evaluate, or the delta path's).
+  template <typename Compute>
+  double Memoized(const std::vector<SourceId>& candidate,
+                  Compute compute) const {
+    const uint64_t key = CacheKey(candidate);
+    double quality = 0.0;
+    if (CacheLookup(key, candidate, &quality)) {
+      CountCacheHits(1);
+      return quality;
+    }
+    quality = compute(candidate);
+    CacheInsert(key, candidate, quality);
+    return quality;
+  }
+
+  /// The loop behind every batch of Q(S), with the per-miss computation
+  /// as a parameter: `compute(i)` scores candidates[i] (full Evaluate, or
+  /// the delta path's). Cache probing and intra-batch deduplication run
+  /// sequentially up front, only the unique misses are computed (on `pool`
+  /// when given), and publishing runs sequentially afterwards.
+  template <typename ComputeMiss>
+  std::vector<double> MemoizedBatch(
+      std::span<const std::vector<SourceId>> candidates, ThreadPool* pool,
+      ComputeMiss compute) const {
+    const size_t n = candidates.size();
+    std::vector<double> out(n, 0.0);
+    if (n == 0) return out;
+
+    obs::Tracer::Span span = obs::SpanIf(obs_.ctx, "eval/batch");
+    std::chrono::steady_clock::time_point batch_start;
+    if (obs_.ctx != nullptr) {
+      obs_.ctx->metrics().Observe(obs_.batch_size, static_cast<int64_t>(n));
+      batch_start = std::chrono::steady_clock::now();
+    }
+
+    // Phase 1 (sequential): probe the cache and deduplicate the misses, so
+    // a candidate appearing twice in one batch is computed once and the
+    // second occurrence counts as a cache hit — exactly what a sequence of
+    // Quality() calls would do. kResolved marks entries answered from cache.
+    constexpr ptrdiff_t kResolved = -1;
+    std::vector<ptrdiff_t> miss_of(n, kResolved);  // index into `misses`
+    std::vector<size_t> misses;                    // first occurrence indices
+    std::vector<uint64_t> miss_keys;
+    std::unordered_map<uint64_t, std::vector<size_t>> pending;  // key → misses
+    int64_t hits = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const std::vector<SourceId>& candidate = candidates[i];
+      uint64_t key = CacheKey(candidate);
+      if (CacheLookup(key, candidate, &out[i])) {
+        ++hits;
+        continue;
+      }
+      std::vector<size_t>& bucket = pending[key];
+      bool duplicate = false;
+      for (size_t pos : bucket) {
+        if (candidates[misses[pos]] == candidate) {
+          miss_of[i] = static_cast<ptrdiff_t>(pos);
+          ++hits;
+          duplicate = true;
+          break;
+        }
+      }
+      if (duplicate) continue;
+      miss_of[i] = static_cast<ptrdiff_t>(misses.size());
+      bucket.push_back(misses.size());
+      misses.push_back(i);
+      miss_keys.push_back(key);
+    }
+
+    // Phase 2: compute the unique misses — each a pure function of its
+    // candidate, so index order (and thread count) cannot change any value.
+    std::vector<double> computed(misses.size(), 0.0);
+    if (pool != nullptr && misses.size() > 1) {
+      pool->ParallelFor(misses.size(),
+                        [&](size_t j) { computed[j] = compute(misses[j]); });
+    } else {
+      for (size_t j = 0; j < misses.size(); ++j) {
+        computed[j] = compute(misses[j]);
+      }
+    }
+
+    // Phase 3 (sequential): publish to the cache and scatter the results.
+    for (size_t j = 0; j < misses.size(); ++j) {
+      CacheInsert(miss_keys[j], candidates[misses[j]], computed[j]);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (miss_of[i] != kResolved) {
+        out[i] = computed[static_cast<size_t>(miss_of[i])];
+      }
+    }
+    CountCacheHits(hits);
+    if (obs_.ctx != nullptr) {
+      auto elapsed = std::chrono::steady_clock::now() - batch_start;
+      obs_.ctx->metrics().Observe(
+          obs_.batch_latency_us,
+          std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
+              .count());
+    }
+    return out;
+  }
 
   const Universe& universe_;
   const ClusterMatcher& matcher_;
@@ -307,15 +413,8 @@ class CandidateEvaluator {
   /// The universe-wide work hoisted out of Evaluate (see the class comment).
   QualityModel::Denominators denominators_;
   std::vector<std::unique_ptr<QefDeltaScorer>> scorers_;  // parallel to QEFs
-  mutable SharedQualityCache* shared_cache_ = nullptr;
-
-  static constexpr int kShardBits = 4;
-  static constexpr size_t kNumCacheShards = 1u << kShardBits;
-  static constexpr size_t kMaxCacheEntries = 1 << 18;
-  static constexpr size_t kMaxEntriesPerShard =
-      kMaxCacheEntries / kNumCacheShards;
-  mutable CacheShard cache_shards_[kNumCacheShards];
-  size_t max_entries_per_shard_ = kMaxEntriesPerShard;
+  mutable SharedQualityCache own_cache_;
+  mutable SharedQualityCache* attached_cache_ = nullptr;
   HashFn hash_fn_ = &CandidateEvaluator::HashCandidate;
   mutable std::atomic<int64_t> evaluations_{0};
   mutable std::atomic<int64_t> cache_hits_{0};

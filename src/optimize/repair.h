@@ -40,7 +40,7 @@ struct RepairOptions {
   /// Cross-evaluator quality cache (optimize/evaluator.h). Not owned; must
   /// outlive the repair. Engine::RepairSeed attaches it to the repair's
   /// evaluator so a session's repair pre-warms its subsequent warm-start
-  /// solve (same spec fingerprint). Null keeps the local cache.
+  /// solve (same spec fingerprint). Null keeps the evaluator's own cache.
   SharedQualityCache* shared_cache = nullptr;
 };
 

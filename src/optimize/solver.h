@@ -35,8 +35,8 @@ struct SolverOptions {
   const Clock* clock = nullptr;
   /// Hard cap on *computed* candidate evaluations (<= 0 disables). Checked
   /// at the same points as time_limit_seconds, so a run can overshoot by
-  /// at most one neighborhood batch. This is the budget the portfolio
-  /// solver divides among its contenders.
+  /// at most one neighborhood batch. RepairIncumbent bounds each repair
+  /// with it (RepairOptions::eval_budget).
   int64_t max_evaluations = 0;
   /// Record a TracePoint in SolverStats::trace every time the incumbent
   /// improves (for convergence analysis; small overhead).
@@ -71,7 +71,7 @@ struct SolverOptions {
   /// outlive the Solve call. When set, Engine::Solve routes the evaluator's
   /// memoization through it, so equal-spec sessions share hits and a
   /// session's repair warms its own subsequent solve. Null (default) keeps
-  /// the per-solve local cache. Solution bytes are unchanged either way
+  /// the evaluator's own per-solve cache. Solution bytes are unchanged either way
   /// unless an eval-budget stop fires (a warmer cache computes fewer
   /// evaluations, so max_evaluations cuts at a different point).
   SharedQualityCache* shared_cache = nullptr;
@@ -128,7 +128,6 @@ enum class SolverKind {
   kGreedy,      ///< greedy constructive baseline
   kRandom,      ///< uniform random sampling baseline
   kExhaustive,  ///< exact enumeration (tiny instances / tests only)
-  kPortfolio,   ///< races the other solvers on a shared eval budget
 };
 
 /// Factory for any solver kind.
@@ -168,7 +167,8 @@ struct SolverTraits {
 /// The descriptor for one solver kind.
 SolverTraits SolverTraitsFor(SolverKind kind);
 
-/// Every SolverKind, portfolio last (it composes the rest).
+/// Every SolverKind, in declaration order (the order benches and the
+/// solver fixture report them in).
 const std::vector<SolverKind>& AllSolverKinds();
 
 }  // namespace ube

@@ -16,6 +16,13 @@ void ExactSignature::MergeFrom(const DistinctSignature& other) {
   ids_.insert(exact->ids_.begin(), exact->ids_.end());
 }
 
+std::string SignatureFormat(const DistinctSignature& signature) {
+  if (const auto* pcsa = dynamic_cast<const PcsaSignature*>(&signature)) {
+    return "pcsa:" + std::to_string(pcsa->sketch().num_bitmaps());
+  }
+  return "exact";
+}
+
 std::unique_ptr<DistinctSignature> MakeSignature(SignatureKind kind,
                                                  int pcsa_bitmaps) {
   switch (kind) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -74,6 +75,12 @@ class ExactSignature final : public DistinctSignature {
  private:
   std::unordered_set<uint64_t> ids_;
 };
+
+/// "pcsa:<bitmaps>" or "exact": the part of a signature that must agree
+/// across a universe, because the union estimate merges every member's
+/// signature into one (MergeFrom aborts on a mismatch). The catalog parser
+/// and LiveUniverse's add events check new signatures against it.
+std::string SignatureFormat(const DistinctSignature& signature);
 
 /// Factory the workload generator and examples use to pick the signature
 /// implementation uniformly.

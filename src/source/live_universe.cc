@@ -1,8 +1,10 @@
 #include "source/live_universe.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
+#include "sketch/distinct_estimator.h"
 #include "source/flaky.h"
 #include "util/check.h"
 
@@ -16,6 +18,12 @@ LiveUniverse::LiveUniverse(Universe universe, Options options)
       health_(options.breaker),
       refresh_retry_cost_ms_(options.refresh_retry_cost_ms),
       max_sources_(options.max_sources) {
+  for (SourceId s = 0; s < universe_->num_sources(); ++s) {
+    if (universe_->source(s).has_signature()) {
+      signature_format_ = SignatureFormat(universe_->source(s).signature());
+      break;
+    }
+  }
   std::unique_ptr<AttributeSimilarity> measure =
       options.similarity != nullptr ? std::move(options.similarity)
                                     : MakeDefaultSimilarity();
@@ -25,6 +33,9 @@ LiveUniverse::LiveUniverse(Universe universe, Options options)
 }
 
 Status LiveUniverse::Apply(const ChurnEvent& event) {
+  if (!std::isfinite(event.time_ms)) {
+    return Status::InvalidArgument("churn event time must be finite");
+  }
   if (event.time_ms + 1e-9 < last_event_ms_) {
     return Status::InvalidArgument(
         "churn event at " + std::to_string(event.time_ms) +
@@ -103,7 +114,32 @@ Status LiveUniverse::ApplyAdd(const ChurnEvent& event) {
         " exceeds the declared capacity of " + std::to_string(max_sources_) +
         " sources");
   }
-  universe_->AddSource(CloneSource(*event.added));
+  // The catalog's rules (ParseCatalog): a solve would otherwise abort on a
+  // signature it cannot merge, or score NaN.
+  const DataSource& added = *event.added;
+  const std::string prefix = "new source '" + added.name() + "' ";
+  if (added.cardinality() < 0) {
+    return Status::InvalidArgument(prefix + "has a negative cardinality");
+  }
+  for (const auto& [name, value] : added.characteristics()) {
+    if (!std::isfinite(value)) {
+      return Status::InvalidArgument(
+          prefix + "has a non-finite characteristic '" + name + "'");
+    }
+  }
+  if (!std::isfinite(added.staleness())) {
+    return Status::InvalidArgument(prefix + "has a non-finite staleness");
+  }
+  if (added.has_signature()) {
+    const std::string format = SignatureFormat(added.signature());
+    if (!signature_format_.empty() && format != signature_format_) {
+      return Status::InvalidArgument(
+          prefix + "has a signature of format " + format +
+          " but the universe's signatures have " + signature_format_);
+    }
+    signature_format_ = format;
+  }
+  universe_->AddSource(CloneSource(added));
   graph_->PatchSourceAdded(*universe_, event.source);
   health_.Reset(event.source);
   return Status::Ok();
@@ -137,6 +173,9 @@ Status LiveUniverse::ApplyStaleRefresh(const ChurnEvent& event) {
     return Status::InvalidArgument("stale-refresh of unavailable source " +
                                    std::to_string(event.source));
   }
+  if (!std::isfinite(event.staleness)) {
+    return Status::InvalidArgument("stale-refresh staleness must be finite");
+  }
   if (event.staleness <= 0.0) {
     source->set_stats_state(StatsState::kFresh);
     health_.RecordSuccess(event.source);
@@ -155,16 +194,30 @@ Status LiveUniverse::ApplyDrift(const ChurnEvent& event) {
     return Status::InvalidArgument("drift of unavailable source " +
                                    std::to_string(event.source));
   }
-  if (event.cardinality_factor <= 0.0 || event.characteristic_factor <= 0.0) {
-    return Status::InvalidArgument("drift factors must be positive");
+  if (!std::isfinite(event.cardinality_factor) ||
+      !std::isfinite(event.characteristic_factor) ||
+      event.cardinality_factor <= 0.0 || event.characteristic_factor <= 0.0) {
+    return Status::InvalidArgument("drift factors must be finite and positive");
   }
-  source->set_cardinality(std::max<int64_t>(
-      1, static_cast<int64_t>(static_cast<double>(source->cardinality()) *
-                              event.cardinality_factor)));
+  const double cardinality =
+      static_cast<double>(source->cardinality()) * event.cardinality_factor;
+  // 2^63: the first double past int64, where the conversion is undefined.
+  if (!(cardinality < 0x1p63)) {
+    return Status::InvalidArgument("drift overflows the source's cardinality");
+  }
   std::vector<std::pair<std::string, double>> scaled(
       source->characteristics().begin(), source->characteristics().end());
+  for (auto& [name, value] : scaled) {
+    value *= event.characteristic_factor;
+    if (!std::isfinite(value)) {
+      return Status::InvalidArgument("drift overflows characteristic '" +
+                                     name + "'");
+    }
+  }
+  source->set_cardinality(
+      std::max<int64_t>(1, static_cast<int64_t>(cardinality)));
   for (const auto& [name, value] : scaled) {
-    source->SetCharacteristic(name, value * event.characteristic_factor);
+    source->SetCharacteristic(name, value);
   }
   return Status::Ok();
 }

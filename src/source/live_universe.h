@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "catalog/change_feed.h"
@@ -79,9 +80,15 @@ class LiveUniverse {
   /// Simulated time of the last applied event.
   double last_event_ms() const { return last_event_ms_; }
 
-  /// Applies one event. Events must arrive in nondecreasing time order.
-  /// Errors (wrong target state, out-of-order time, malformed payload)
-  /// leave the universe unchanged.
+  /// Applies one event. Events must arrive at finite, nondecreasing times.
+  /// Every event is validated before anything is mutated, and an error
+  /// (wrong target state, out-of-order or non-finite time, malformed
+  /// payload) leaves the universe unchanged. A malformed payload is a
+  /// non-finite or non-positive drift factor, a drift that overflows a
+  /// statistic, a non-finite staleness, or a new source that breaks the
+  /// catalog's rules (negative cardinality, non-finite characteristic or
+  /// staleness, a signature whose SignatureFormat differs from the
+  /// universe's signed sources).
   Status Apply(const ChurnEvent& event);
 
   /// Applies every event of `trace` in order, stopping at the first error.
@@ -104,6 +111,8 @@ class LiveUniverse {
   std::map<SourceId, DataSource> tombstones_;
   double refresh_retry_cost_ms_;
   int max_sources_ = 0;
+  /// SignatureFormat shared by every signed source; empty until one exists.
+  std::string signature_format_;
   int64_t version_ = 0;
   double last_event_ms_ = 0.0;
 };

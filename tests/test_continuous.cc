@@ -2,6 +2,8 @@
 // bit-identity contract, churn-trace determinism across thread counts, the
 // repair-then-escalate policy, and RepairIncumbent's sanitize semantics.
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -285,6 +287,51 @@ TEST(ContinuousTest, RejectsBadOptions) {
   options = QuickContinuous();
   options.escalation_fraction = 1.5;
   EXPECT_FALSE(engine.RunContinuous(BasicSpec(), ChurnTrace{}, options).ok());
+}
+
+// A batch window anchored at a NaN time admits no event, so a loop waiting
+// for the window to admit one re-solves forever. Each batch applies its
+// first event unconditionally, and LiveUniverse::Apply rejects the time.
+TEST(ContinuousTest, NonFiniteEventTimeFailsInsteadOfSpinning) {
+  Engine engine(MediumUniverse(), QualityModel::MakeDefault());
+  for (size_t valid_events : {0u, 1u}) {
+    ChurnTrace trace;
+    for (size_t i = 0; i <= valid_events; ++i) {
+      ChurnEvent refresh;
+      refresh.time_ms = i < valid_events
+                            ? 100.0
+                            : std::numeric_limits<double>::quiet_NaN();
+      refresh.kind = ChurnEventKind::kStaleRefresh;
+      refresh.source = 0;
+      trace.events.push_back(std::move(refresh));
+    }
+    Result<ContinuousReport> report =
+        engine.RunContinuous(BasicSpec(), trace, QuickContinuous());
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument)
+        << report.status();
+  }
+}
+
+// Once a drift by a non-finite factor is applied, every solve containing
+// the drifted source returns OK with Q(S) = NaN.
+TEST(ContinuousTest, NonFiniteDriftFailsInsteadOfPoisoningQuality) {
+  Engine engine(MediumUniverse(), QualityModel::MakeDefault());
+  ProblemSpec spec = BasicSpec();
+  spec.source_constraints = {0};
+  ChurnTrace trace;
+  ChurnEvent drift;
+  drift.time_ms = 100.0;
+  drift.kind = ChurnEventKind::kDrift;
+  drift.source = 0;
+  drift.characteristic_factor = std::numeric_limits<double>::infinity();
+  trace.events.push_back(std::move(drift));
+  Result<ContinuousReport> report =
+      engine.RunContinuous(spec, trace, QuickContinuous());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument)
+      << report.status();
+  Result<Solution> solved = engine.Solve(spec, SolverKind::kTabu, QuickSolve());
+  ASSERT_TRUE(solved.ok()) << solved.status();
+  EXPECT_TRUE(std::isfinite(solved->quality));
 }
 
 // --- RepairIncumbent unit tests ----------------------------------------

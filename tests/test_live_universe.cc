@@ -14,6 +14,7 @@
 #include "catalog/catalog.h"
 #include "catalog/change_feed.h"
 #include "matching/similarity_graph.h"
+#include "sketch/distinct_estimator.h"
 #include "source/compound.h"
 #include "source/flaky.h"
 #include "source/live_universe.h"
@@ -497,6 +498,138 @@ TEST(LiveUniverseTest, MalformedDriftEventsFailCleanly) {
   EXPECT_EQ(live.version(), 1);
   EXPECT_NE(live.graph().Fingerprint(), graph_before);
   EXPECT_EQ(live.graph().Fingerprint(), RebuildFingerprint(live.universe()));
+}
+
+// --- live events are validated before anything is mutated ---------------
+//
+// Each malformed input below must be rejected: once applied, it hangs
+// RunContinuous, aborts a later solve, or makes Q(S) NaN. Apply returns
+// InvalidArgument and leaves the universe, its version and its graph as
+// they were.
+
+void ExpectRejected(LiveUniverse& live, const ChurnEvent& event) {
+  const std::string catalog = WriteCatalog(live.universe());
+  const int64_t version = live.version();
+  const uint64_t graph = live.graph().Fingerprint();
+  Status status = live.Apply(event);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_EQ(WriteCatalog(live.universe()), catalog);
+  EXPECT_EQ(live.version(), version);
+  EXPECT_EQ(live.graph().Fingerprint(), graph);
+}
+
+// A universe whose signed sources all carry 64-bitmap PCSA signatures.
+LiveUniverse SignedLiveUniverse() {
+  Universe universe = SmallUniverse(6);
+  bool signed_source = false;
+  for (SourceId s = 0; s < universe.num_sources(); ++s) {
+    signed_source |= universe.source(s).has_signature();
+  }
+  EXPECT_TRUE(signed_source);
+  return LiveUniverse(std::move(universe));
+}
+
+ChurnEvent AddEvent(const LiveUniverse& live, double time_ms = 1.0) {
+  ChurnEvent add;
+  add.time_ms = time_ms;
+  add.kind = ChurnEventKind::kAdd;
+  add.source = live.universe().num_sources();
+  add.added = std::make_unique<DataSource>("newcomer", SourceSchema({"title"}));
+  add.added->set_cardinality(10);
+  return add;
+}
+
+TEST(LiveEventValidationTest, NonFiniteTimeIsRejected) {
+  LiveUniverse live = SignedLiveUniverse();
+  for (double time_ms : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    ChurnEvent refresh;
+    refresh.time_ms = time_ms;
+    refresh.kind = ChurnEventKind::kStaleRefresh;
+    refresh.source = 0;
+    ExpectRejected(live, refresh);
+  }
+}
+
+TEST(LiveEventValidationTest, AddWithExactSignatureAmongPcsaIsRejected) {
+  LiveUniverse live = SignedLiveUniverse();
+  ChurnEvent add = AddEvent(live);
+  auto exact = std::make_unique<ExactSignature>();
+  exact->Add(17);
+  add.added->set_signature(std::move(exact));
+  ExpectRejected(live, add);
+}
+
+TEST(LiveEventValidationTest, AddWithOtherPcsaWidthIsRejected) {
+  LiveUniverse live = SignedLiveUniverse();
+  ChurnEvent add = AddEvent(live);
+  auto narrow = std::make_unique<PcsaSignature>(32);
+  narrow->Add(17);
+  add.added->set_signature(std::move(narrow));
+  ExpectRejected(live, add);
+
+  // The universe's own format is accepted.
+  auto matching = std::make_unique<PcsaSignature>(64);
+  matching->Add(17);
+  add.added->set_signature(std::move(matching));
+  EXPECT_TRUE(live.Apply(add).ok());
+}
+
+TEST(LiveEventValidationTest, AddWithNonFiniteCharacteristicIsRejected) {
+  LiveUniverse live = SignedLiveUniverse();
+  for (double mttf : {std::numeric_limits<double>::infinity(),
+                      std::numeric_limits<double>::quiet_NaN()}) {
+    ChurnEvent add = AddEvent(live);
+    add.added->SetCharacteristic("mttf", mttf);
+    ExpectRejected(live, add);
+  }
+}
+
+TEST(LiveEventValidationTest, AddWithNegativeCardinalityIsRejected) {
+  LiveUniverse live = SignedLiveUniverse();
+  ChurnEvent add = AddEvent(live);
+  add.added->set_cardinality(-5);
+  ExpectRejected(live, add);
+}
+
+TEST(LiveEventValidationTest,
+     DriftWithNonFiniteCharacteristicFactorIsRejected) {
+  LiveUniverse live = SignedLiveUniverse();
+  for (double factor : {std::numeric_limits<double>::infinity(),
+                        std::numeric_limits<double>::quiet_NaN()}) {
+    ChurnEvent drift;
+    drift.time_ms = 1.0;
+    drift.kind = ChurnEventKind::kDrift;
+    drift.source = 0;
+    drift.characteristic_factor = factor;
+    ExpectRejected(live, drift);
+  }
+}
+
+TEST(LiveEventValidationTest, DriftWithNonFiniteCardinalityFactorIsRejected) {
+  LiveUniverse live = SignedLiveUniverse();
+  for (double factor : {std::numeric_limits<double>::infinity(),
+                        std::numeric_limits<double>::quiet_NaN(), 1e300}) {
+    ChurnEvent drift;
+    drift.time_ms = 1.0;
+    drift.kind = ChurnEventKind::kDrift;
+    drift.source = 0;
+    drift.cardinality_factor = factor;
+    ExpectRejected(live, drift);
+  }
+}
+
+TEST(LiveEventValidationTest, NonFiniteStalenessIsRejected) {
+  LiveUniverse live = SignedLiveUniverse();
+  for (double staleness : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    ChurnEvent refresh;
+    refresh.time_ms = 1.0;
+    refresh.kind = ChurnEventKind::kStaleRefresh;
+    refresh.source = 0;
+    refresh.staleness = staleness;
+    ExpectRejected(live, refresh);
+  }
 }
 
 TEST(LiveUniverseTest, AttrDropNeverStripsLastAttribute) {

@@ -493,48 +493,104 @@ TEST(ObsIdentityTest, TelemetryAndSnapshotReconcileWithStats) {
 
 // ----------------------- evaluator edge counters ------------------------
 
+uint64_t ConstantHash(const std::vector<SourceId>&) { return 12345; }
+
+// Both edge counters count whichever store answers: the evaluator's own
+// cache or an attached SharedQualityCache.
 TEST(ObsEvaluatorTest, CollisionRecomputeCounter) {
-  KnownOptimumFixture fx;
-  ProblemSpec spec;
-  spec.max_sources = 3;
-  CandidateEvaluator evaluator = fx.MakeEvaluator(spec);
-  evaluator.SetHashFunctionForTesting(
-      [](const std::vector<SourceId>&) -> uint64_t { return 12345; });
-  obs::ObsContext obs;
-  evaluator.AttachObs(&obs);
-  EXPECT_GT(evaluator.Quality({0, 1, 2}), 0.0);
-  EXPECT_GT(evaluator.Quality({7, 8, 9}), 0.0);  // same key, different set
-  evaluator.DetachObs();
-  obs::MetricsSnapshot snap = obs.metrics().Snapshot();
-  const obs::CounterSnapshot* collisions =
-      snap.FindCounter("eval.collision_recompute");
-  ASSERT_NE(collisions, nullptr);
-  EXPECT_EQ(collisions->value, 1);
-  EXPECT_EQ(snap.FindCounter("eval.computed")->value, 2);
+  for (bool attached : {false, true}) {
+    SCOPED_TRACE(attached ? "attached cache" : "own cache");
+    KnownOptimumFixture fx;
+    ProblemSpec spec;
+    spec.max_sources = 3;
+    CandidateEvaluator evaluator = fx.MakeEvaluator(spec);
+    SharedQualityCache cache;
+    if (attached) evaluator.AttachSharedCache(&cache);
+    evaluator.SetHashFunctionForTesting(&ConstantHash);
+    obs::ObsContext obs;
+    evaluator.AttachObs(&obs);
+    EXPECT_GT(evaluator.Quality({0, 1, 2}), 0.0);
+    EXPECT_GT(evaluator.Quality({7, 8, 9}), 0.0);  // same key, different set
+    evaluator.DetachObs();
+    obs::MetricsSnapshot snap = obs.metrics().Snapshot();
+    const obs::CounterSnapshot* collisions =
+        snap.FindCounter("eval.collision_recompute");
+    ASSERT_NE(collisions, nullptr);
+    EXPECT_EQ(collisions->value, 1);
+    EXPECT_EQ(snap.FindCounter("eval.computed")->value, 2);
+    if (attached) {
+      EXPECT_EQ(cache.stats().rejects, 1);
+    }
+  }
 }
 
 TEST(ObsEvaluatorTest, ShardEvictionCounter) {
-  KnownOptimumFixture fx;
-  ProblemSpec spec;
-  spec.max_sources = 3;
-  CandidateEvaluator evaluator = fx.MakeEvaluator(spec);
-  // Constant hash pins every candidate to one shard; capacity 1 makes each
-  // insert into the occupied shard clear it first.
-  evaluator.SetHashFunctionForTesting(
-      [](const std::vector<SourceId>&) -> uint64_t { return 12345; });
-  evaluator.SetShardCapacityForTesting(1);
-  obs::ObsContext obs;
-  evaluator.AttachObs(&obs);
-  evaluator.Quality({0, 1, 2});
-  evaluator.Quality({1, 2, 3});
-  evaluator.Quality({2, 3, 4});
-  evaluator.Quality({3, 4, 5});
-  evaluator.DetachObs();
-  obs::MetricsSnapshot snap = obs.metrics().Snapshot();
-  const obs::CounterSnapshot* evictions =
-      snap.FindCounter("eval.shard_eviction");
-  ASSERT_NE(evictions, nullptr);
-  EXPECT_EQ(evictions->value, 3);
+  {
+    SCOPED_TRACE("attached cache");
+    KnownOptimumFixture fx;
+    ProblemSpec spec;
+    spec.max_sources = 3;
+    CandidateEvaluator evaluator = fx.MakeEvaluator(spec);
+    // Constant hash pins every candidate to one shard; one entry per shard
+    // makes each insert into the occupied shard clear it first.
+    SharedQualityCache cache(/*max_entries_per_shard=*/1);
+    evaluator.AttachSharedCache(&cache);
+    evaluator.SetHashFunctionForTesting(&ConstantHash);
+    obs::ObsContext obs;
+    evaluator.AttachObs(&obs);
+    evaluator.Quality({0, 1, 2});
+    evaluator.Quality({1, 2, 3});
+    evaluator.Quality({2, 3, 4});
+    evaluator.Quality({3, 4, 5});
+    evaluator.DetachObs();
+    obs::MetricsSnapshot snap = obs.metrics().Snapshot();
+    const obs::CounterSnapshot* evictions =
+        snap.FindCounter("eval.shard_eviction");
+    ASSERT_NE(evictions, nullptr);
+    EXPECT_EQ(evictions->value, 3);
+    EXPECT_EQ(cache.stats().evictions, 3);
+  }
+  {
+    SCOPED_TRACE("own cache");
+    // The own cache holds 2^14 entries in each of 16 shards, so 2^14
+    // distinct candidates cannot fill a shard, and by pigeonhole
+    // 16 * 2^14 + 1 must overflow one. Unsigned sources keep each of the
+    // ~2^18 evaluations cheap.
+    constexpr int kSources = 19;
+    constexpr uint32_t kPerShard = 1u << 14;
+    Universe universe;
+    for (int i = 0; i < kSources; ++i) {
+      DataSource s("s" + std::to_string(i), SourceSchema({"title"}));
+      s.set_cardinality((i + 1) * 100);
+      universe.AddSource(std::move(s));
+    }
+    QualityModel model;
+    model.AddQef(std::make_unique<CardinalityQef>(), 1.0);
+    SimilarityGraph graph = SimilarityGraph::WithDefaults(universe, 0.25);
+    ClusterMatcher matcher(universe, graph);
+    ProblemSpec spec;
+    spec.max_sources = kSources;
+    CandidateEvaluator evaluator(universe, matcher, model, spec);
+    obs::ObsContext obs;
+    evaluator.AttachObs(&obs);
+    auto evictions = [&obs] {
+      return obs.metrics().Snapshot().FindCounter("eval.shard_eviction")->value;
+    };
+    std::vector<SourceId> candidate;
+    for (uint32_t mask = 1; mask <= 16 * kPerShard + 1; ++mask) {
+      candidate.clear();
+      for (int s = 0; s < kSources; ++s) {
+        if (mask & (1u << s)) candidate.push_back(s);
+      }
+      evaluator.Quality(candidate);
+      if (mask == kPerShard) {
+        EXPECT_EQ(evictions(), 0);
+      }
+    }
+    EXPECT_GE(evictions(), 1);
+    EXPECT_EQ(evaluator.num_evaluations(), 16 * kPerShard + 1);
+    evaluator.DetachObs();
+  }
 }
 
 // ------------------------------- prober --------------------------------

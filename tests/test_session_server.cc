@@ -62,17 +62,20 @@ void ExpectSameSolution(const Solution& a, const Solution& b) {
 
 // --------------------- SharedQualityCache unit tests ---------------------
 
+using Probe = SharedQualityCache::Probe;
+
 TEST(SharedQualityCacheTest, HitMissAndVerifyOnHit) {
   SharedQualityCache cache;
   const std::vector<SourceId> cand = {1, 2, 3};
   double quality = 0.0;
-  EXPECT_FALSE(cache.Lookup(/*fingerprint=*/7, /*key=*/99, cand, &quality));
+  EXPECT_EQ(cache.Lookup(/*fingerprint=*/7, /*key=*/99, cand, &quality),
+            Probe::kMiss);
   cache.Insert(7, 99, cand, 0.5);
-  ASSERT_TRUE(cache.Lookup(7, 99, cand, &quality));
+  ASSERT_EQ(cache.Lookup(7, 99, cand, &quality), Probe::kHit);
   EXPECT_DOUBLE_EQ(quality, 0.5);
   // A different fingerprint with the same key maps to a different slot
   // (the fingerprint is mixed into the slot), so it simply misses.
-  EXPECT_FALSE(cache.Lookup(8, 99, cand, &quality));
+  EXPECT_EQ(cache.Lookup(8, 99, cand, &quality), Probe::kMiss);
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(cache.stats().misses, 2);
   EXPECT_EQ(cache.stats().insertions, 1);
@@ -90,24 +93,27 @@ TEST(SharedQualityCacheTest, CrossSpecCollisionIsRejectedNotServed) {
   const std::vector<SourceId> cand = {1, 2, 3};
   cache.Insert(/*fingerprint=*/7, /*key=*/99, cand, 0.5);
   double quality = -1.0;
-  EXPECT_FALSE(cache.Lookup(/*fingerprint=*/8, 99, cand, &quality));
+  EXPECT_EQ(cache.Lookup(/*fingerprint=*/8, 99, cand, &quality),
+            Probe::kReject);
   EXPECT_EQ(quality, -1.0) << "poisoned value leaked across specs";
   EXPECT_EQ(cache.stats().rejects, 1);
   // Same slot, same fingerprint, different candidate (a 64-bit hash
   // collision): also rejected.
   const std::vector<SourceId> other = {4, 5};
-  EXPECT_FALSE(cache.Lookup(7, 99, other, &quality));
+  EXPECT_EQ(cache.Lookup(7, 99, other, &quality), Probe::kReject);
   EXPECT_EQ(cache.stats().rejects, 2);
   // The honest owner still hits.
-  EXPECT_TRUE(cache.Lookup(7, 99, cand, &quality));
+  EXPECT_EQ(cache.Lookup(7, 99, cand, &quality), Probe::kHit);
   EXPECT_DOUBLE_EQ(quality, 0.5);
 }
 
 TEST(SharedQualityCacheTest, FullShardIsClearedOnInsert) {
   SharedQualityCache cache(/*max_entries_per_shard=*/4);
   const std::vector<SourceId> cand = {0};
-  for (uint64_t k = 0; k < 256; ++k) cache.Insert(1, k, cand, 0.1);
+  int64_t reported = 0;
+  for (uint64_t k = 0; k < 256; ++k) reported += cache.Insert(1, k, cand, 0.1);
   EXPECT_GT(cache.stats().evictions, 0);
+  EXPECT_EQ(reported, cache.stats().evictions);
   // Bounded: never more than shards x bound entries.
   EXPECT_LE(cache.size(), 16u * 4u);
 }

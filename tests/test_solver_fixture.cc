@@ -1,10 +1,10 @@
-// Unified solver fixture (ISSUE 6): every SolverKind is described by a
-// SolverTraits descriptor (monotonic? randomized? exact? anytime? budget?
-// epsilon?) and this suite checks each implementation against its own
-// descriptor on the pinned golden small universe — plus the portfolio
-// acceptance bar: never worse than the best single solver at an equal
-// evaluation budget.
+// Unified solver fixture: every SolverKind is described by a SolverTraits
+// descriptor (monotonic? randomized? exact? anytime? budget? epsilon?) and
+// this suite checks each implementation against its own descriptor on the
+// pinned golden small universe, plus the delta-vs-full, cache-store and
+// warm-start axes.
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "obs/obs.h"
 #include "optimize/solver.h"
 #include "testkit/golden.h"
 #include "testkit/oracles.h"
@@ -102,8 +103,6 @@ TEST(SolverTraitsTest, CoversEveryKindExactlyOnce) {
     names.insert(std::string(SolverKindName(kind)));
   }
   EXPECT_EQ(names.size(), kinds.size()) << "duplicate solver display name";
-  EXPECT_EQ(kinds.back(), SolverKind::kPortfolio)
-      << "portfolio must come last: it composes the others";
   // Exactly one exact solver (the enumeration anchor of every oracle).
   int exact = 0;
   for (SolverKind kind : kinds) exact += SolverTraitsFor(kind).exact;
@@ -219,7 +218,7 @@ TEST_P(SolverFixtureTest, TimeLimitStopsDeterministicallyUnderManualClock) {
   EXPECT_TRUE(SolutionsBitIdentical(*first, *second));
 }
 
-// Delta-vs-full differential axis: for every solver (portfolio included)
+// Delta-vs-full differential axis: for every solver
 // and for both the sequential and the hardware-concurrency thread count,
 // the incremental delta path must return a Solution byte-identical to the
 // full path — sources, quality bits, counters and trace. Run on the
@@ -244,6 +243,55 @@ TEST_P(SolverFixtureTest, DeltaMatchesFullPathBitIdentically) {
       EXPECT_TRUE(SolutionsBitIdentical(*full, *delta))
           << "delta/full divergence (matching=" << matching
           << ", threads=" << threads << ")";
+    }
+  }
+}
+
+// The eval.* counter totals a solve left in `obs`, by name.
+std::map<std::string, int64_t> EvalCounters(const obs::ObsContext& obs) {
+  std::map<std::string, int64_t> totals;
+  const obs::MetricsSnapshot snapshot = obs.metrics().Snapshot();
+  for (const obs::CounterSnapshot& counter : snapshot.counters) {
+    if (counter.name.starts_with("eval.")) totals[counter.name] = counter.value;
+  }
+  return totals;
+}
+
+// Cache-store axis: which store memoizes Q(S) must not change a solve. For
+// every solver, delta on and off, and both thread counts, a solve through a
+// fresh attached SharedQualityCache returns a Solution byte-identical to one
+// on the evaluator's own cache — evaluations and cache hits included — and
+// leaves equal eval.* counter totals.
+TEST_P(SolverFixtureTest, AttachedCacheMatchesOwnCacheBitIdentically) {
+  const SolverKind kind = GetParam();
+  const testkit::GoldenSmallUniverse& golden = Golden();
+  for (bool matching : {false, true}) {
+    Engine engine = matching ? MakeGoldenEngine()
+                             : MakeGoldenEngine(DataOnlyModel());
+    for (bool delta : {false, true}) {
+      for (int threads : {1, 0}) {
+        SolverOptions options = FixtureOptions();
+        options.record_trace = true;
+        options.num_threads = threads;
+        options.delta_eval = delta;
+        obs::ObsContext own_obs;
+        options.obs = &own_obs;
+        Result<Solution> own = engine.Solve(golden.spec, kind, options);
+        ASSERT_TRUE(own.ok()) << own.status();
+
+        SharedQualityCache cache;
+        obs::ObsContext attached_obs;
+        options.obs = &attached_obs;
+        options.shared_cache = &cache;
+        Result<Solution> attached = engine.Solve(golden.spec, kind, options);
+        ASSERT_TRUE(attached.ok()) << attached.status();
+        EXPECT_TRUE(SolutionsBitIdentical(*own, *attached))
+            << "own/attached cache divergence (matching=" << matching
+            << ", delta=" << delta << ", threads=" << threads << ")";
+        EXPECT_EQ(EvalCounters(own_obs), EvalCounters(attached_obs))
+            << "matching=" << matching << ", delta=" << delta
+            << ", threads=" << threads;
+      }
     }
   }
 }
@@ -301,55 +349,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<SolverKind>& info) {
       return std::string(SolverKindName(info.param));
     });
-
-// --- portfolio acceptance bar -------------------------------------------
-
-TEST(PortfolioTest, NeverWorseThanBestSingleSolverAtEqualBudget) {
-  const testkit::GoldenSmallUniverse& golden = Golden();
-  Engine engine = MakeGoldenEngine();
-  const int64_t budget = 2'000;
-
-  double best_single = 0.0;
-  for (SolverKind kind : AllSolverKinds()) {
-    if (kind == SolverKind::kPortfolio) continue;
-    SolverOptions options = FixtureOptions();
-    options.max_evaluations = budget;
-    Result<Solution> solution = engine.Solve(golden.spec, kind, options);
-    if (!solution.ok()) continue;  // e.g. a solver refusing the instance
-    best_single = std::max(best_single, solution->quality);
-  }
-  ASSERT_GT(best_single, 0.0);
-
-  SolverOptions options = FixtureOptions();
-  options.max_evaluations = budget;
-  Result<Solution> portfolio =
-      engine.Solve(golden.spec, SolverKind::kPortfolio, options);
-  ASSERT_TRUE(portfolio.ok()) << portfolio.status();
-  EXPECT_TRUE(SolutionIsFeasible(*portfolio, engine.universe(), golden.spec));
-  EXPECT_GE(portfolio->quality, best_single - 1e-9)
-      << "portfolio lost to a single solver on the same budget";
-  // On the golden instance the exhaustive contender completes within its
-  // probe share, so the portfolio must return the recorded optimum.
-  EXPECT_NEAR(portfolio->quality, golden.optimal_quality, 1e-9);
-  EXPECT_EQ(portfolio->stats.stop_reason, StopReason::kExhausted);
-}
-
-TEST(PortfolioTest, ReplaysBitIdenticallyAndAccountsEffort) {
-  const testkit::GoldenSmallUniverse& golden = Golden();
-  Engine engine = MakeGoldenEngine();
-  SolverOptions options = FixtureOptions();
-  options.max_evaluations = 1'000;
-
-  Result<Solution> first =
-      engine.Solve(golden.spec, SolverKind::kPortfolio, options);
-  Result<Solution> second =
-      engine.Solve(golden.spec, SolverKind::kPortfolio, options);
-  ASSERT_TRUE(first.ok()) << first.status();
-  ASSERT_TRUE(second.ok()) << second.status();
-  EXPECT_TRUE(SolutionsBitIdentical(*first, *second));
-  EXPECT_EQ(first->stats.solver_name, "portfolio");
-  EXPECT_GT(first->stats.evaluations, 0);
-}
 
 }  // namespace
 }  // namespace ube
