@@ -102,7 +102,7 @@ void BM_SimilarityGraphBuild(benchmark::State& state) {
   for (auto _ : state) {
     ube::SimilarityGraph graph =
         ube::SimilarityGraph::WithDefaults(workload.universe, 0.25);
-    benchmark::DoNotOptimize(graph.num_edges());
+    benchmark::DoNotOptimize(graph.num_names());
   }
 }
 BENCHMARK(BM_SimilarityGraphBuild)->Unit(benchmark::kMillisecond);
@@ -127,7 +127,7 @@ void BM_SimilarityGraphBuildDistinctNames(benchmark::State& state) {
   for (auto _ : state) {
     ube::SimilarityGraph graph =
         ube::SimilarityGraph::WithDefaults(*universe, 0.25);
-    benchmark::DoNotOptimize(graph.num_edges());
+    benchmark::DoNotOptimize(graph.num_names());
   }
 }
 BENCHMARK(BM_SimilarityGraphBuildDistinctNames)
@@ -147,6 +147,29 @@ void BM_Match20Sources(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Match20Sources)->Unit(benchmark::kMicrosecond);
+
+// The same S (sources 0, 10, ..., 190) in a universe five times larger:
+// Match gathers its θ-edges from the name rows of S's names, so its cost
+// follows S, not |U|.
+void BM_Match20SourcesU1000(benchmark::State& state) {
+  static auto* workload = [] {
+    ube::WorkloadConfig config;
+    config.num_sources = 1000;
+    config.scale = 0.01;
+    return new ube::GeneratedWorkload(ube::GenerateWorkload(config));
+  }();
+  static auto* graph = new ube::SimilarityGraph(
+      ube::SimilarityGraph::WithDefaults(workload->universe, 0.25));
+  ube::ClusterMatcher matcher(workload->universe, *graph);
+  std::vector<ube::SourceId> sources;
+  for (ube::SourceId s = 0; s < 200; s += 10) sources.push_back(s);
+  ube::MatchOptions options;
+  for (auto _ : state) {
+    auto result = matcher.Match(sources, {}, {}, options);
+    benchmark::DoNotOptimize(result.ok());
+  }
+}
+BENCHMARK(BM_Match20SourcesU1000)->Unit(benchmark::kMicrosecond);
 
 void BM_CandidateEvaluation(benchmark::State& state) {
   auto& workload = SharedWorkload();

@@ -220,14 +220,13 @@ Status Session::SetWeight(std::string_view qef_name, double weight) {
     return Status::NotFound("no QEF named '" + std::string(qef_name) + "'");
   }
   // Copy-on-first-write: the overlay starts as the shared model's weights
-  // and diverges from there. The engine's model is never mutated.
-  if (spec_.weight_overlay.empty()) {
-    spec_.weight_overlay = model.weights();
-  }
-  Status status =
-      QualityModel::RescaleWeight(&spec_.weight_overlay, index, weight);
-  if (status.ok()) ++stats_.feedback_gestures;
-  return status;
+  // and diverges from there. The engine's model is never mutated, and a
+  // rejected weight leaves the overlay as it was.
+  std::vector<double> overlay = effective_weights();
+  UBE_RETURN_IF_ERROR(QualityModel::RescaleWeight(&overlay, index, weight));
+  spec_.weight_overlay = std::move(overlay);
+  ++stats_.feedback_gestures;
+  return Status::Ok();
 }
 
 const std::vector<double>& Session::effective_weights() const {

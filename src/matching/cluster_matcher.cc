@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -35,7 +36,7 @@ struct Cluster {
   bool Active() const { return Live() && !retired; }
 };
 
-// A similarity-graph edge at >= θ between two attributes of S (u < v).
+// A similarity-graph edge at >= θ between two attributes of S.
 struct ThetaEdge {
   int u;
   int v;
@@ -49,15 +50,20 @@ struct PairCandidate {
 };
 
 // Per-thread working memory reused across Match calls, so a call allocates
-// only its result. Between calls every cluster_of entry is -1; a call sets
-// the entries of S's attributes and restores them on every exit path
-// (ScratchReset). cluster_of and next are indexed by dense attribute and
-// grow to the largest graph the thread has matched over.
+// only its result. Between calls every cluster_of and name_head entry is -1;
+// a call sets the entries of S's attributes and names and restores them on
+// every exit path (ScratchReset). cluster_of and next are indexed by dense
+// attribute and name_head by name id; they grow to the largest graph the
+// thread has matched over.
 struct MatchScratch {
   std::vector<int> cluster_of;        // dense attr -> cluster, or -1
   std::vector<int> next;              // dense attr -> next in its cluster
+  std::vector<int> name_head;         // name id -> first k with it, or -1
   std::vector<SourceId> sorted;       // S, sorted
-  std::vector<int> attrs;             // dense attrs of S, sorted-S order
+  std::vector<int> attrs;             // k -> dense attr of S, sorted-S order
+  std::vector<SourceId> attr_source;  // k -> source of attrs[k]
+  std::vector<int> name_next;         // k -> next k with the same name
+  std::vector<int32_t> names;         // distinct names of S
   std::vector<Cluster> clusters;
   std::vector<uint64_t> source_bits;  // clusters.size() blocks of words
   std::vector<uint64_t> covered;      // sources touched by the output
@@ -70,13 +76,17 @@ MatchScratch& Scratch() {
   return scratch;
 }
 
-// Restores cluster_of to all -1 over S's attributes when the call exits.
+// Restores cluster_of and name_head to all -1 over S's attributes and names
+// when the call exits.
 class ScratchReset {
  public:
   explicit ScratchReset(MatchScratch* scratch) : scratch_(scratch) {}
   ~ScratchReset() {
     for (int dense : scratch_->attrs) {
       scratch_->cluster_of[static_cast<size_t>(dense)] = -1;
+    }
+    for (int32_t name : scratch_->names) {
+      scratch_->name_head[static_cast<size_t>(name)] = -1;
     }
   }
   ScratchReset(const ScratchReset&) = delete;
@@ -124,6 +134,9 @@ Result<MatchResult> ClusterMatcher::Match(
     const std::vector<SourceId>& source_constraints,
     const std::vector<GlobalAttribute>& ga_constraints,
     const MatchOptions& options) const {
+  if (!std::isfinite(options.theta)) {
+    return Status::InvalidArgument("matching threshold θ must be finite");
+  }
   if (options.theta < graph_.floor()) {
     return Status::InvalidArgument(
         "matching threshold θ is below the similarity graph floor");
@@ -183,11 +196,18 @@ Result<MatchResult> ClusterMatcher::Match(
     scratch.cluster_of.resize(num_graph_attrs, -1);
     scratch.next.resize(num_graph_attrs, -1);
   }
+  const size_t num_names = static_cast<size_t>(graph_.num_names());
+  if (scratch.name_head.size() < num_names) {
+    scratch.name_head.resize(num_names, -1);
+  }
   scratch.attrs.clear();
+  scratch.attr_source.clear();
+  scratch.names.clear();
   for (SourceId s : sorted) {
     const int width = universe_.source(s).schema().num_attributes();
     for (int a = 0; a < width; ++a) {
       scratch.attrs.push_back(graph_.DenseIndex(AttributeId{s, a}));
+      scratch.attr_source.push_back(s);
     }
   }
   ScratchReset reset(&scratch);
@@ -265,19 +285,45 @@ Result<MatchResult> ClusterMatcher::Match(
     }
   }
 
-  // The θ-edges among S's attributes, gathered once. Every attribute of S
-  // has a cluster now, so cluster_of tells membership in S.
+  // The θ-edges among S's attributes, gathered once from the name rows.
+  // S's attributes are grouped by name (a list per name through name_head
+  // and name_next, over positions k in attrs). Each name of S walks its row
+  // down to θ and pairs its group with the group of each name it reaches:
+  // every name pair once, from the lower id, and never two attributes of
+  // one source. The rounds sort their pairs fully, so the order in which
+  // the edges are collected does not matter.
   const float theta = static_cast<float>(options.theta);
+  const std::vector<int>& attrs = scratch.attrs;
+  const std::vector<SourceId>& attr_source = scratch.attr_source;
+  std::vector<int>& name_head = scratch.name_head;
+  std::vector<int>& name_next = scratch.name_next;
+  name_next.resize(attrs.size());
+  for (size_t k = 0; k < attrs.size(); ++k) {
+    int& head = name_head[static_cast<size_t>(graph_.NameId(attrs[k]))];
+    if (head == -1) scratch.names.push_back(graph_.NameId(attrs[k]));
+    name_next[k] = head;
+    head = static_cast<int>(k);
+  }
   std::vector<ThetaEdge>& edges = scratch.edges;
   edges.clear();
-  for (int u : scratch.attrs) {
-    // Rows are sorted by neighbor: walk the tail past u from the end, so
-    // each edge is seen once and the row's head is never touched.
-    const std::vector<SimilarityGraph::Edge>& row = graph_.EdgesOf(u);
-    for (auto e = row.rbegin(); e != row.rend() && e->neighbor > u; ++e) {
-      if (e->similarity < theta) continue;
-      if (cluster_of[static_cast<size_t>(e->neighbor)] == -1) continue;
-      edges.push_back(ThetaEdge{u, e->neighbor, e->similarity});
+  for (int32_t x : scratch.names) {
+    for (const SimilarityGraph::NameEdge& e : graph_.NameRow(x)) {
+      if (e.similarity < theta) break;
+      if (e.name < x) continue;
+      const int y_head = name_head[static_cast<size_t>(e.name)];
+      for (int i = name_head[static_cast<size_t>(x)]; i != -1;
+           i = name_next[static_cast<size_t>(i)]) {
+        for (int j = e.name == x ? name_next[static_cast<size_t>(i)] : y_head;
+             j != -1; j = name_next[static_cast<size_t>(j)]) {
+          if (attr_source[static_cast<size_t>(i)] ==
+              attr_source[static_cast<size_t>(j)]) {
+            continue;
+          }
+          edges.push_back(ThetaEdge{attrs[static_cast<size_t>(i)],
+                                    attrs[static_cast<size_t>(j)],
+                                    e.similarity});
+        }
+      }
     }
   }
 

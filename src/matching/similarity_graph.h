@@ -19,27 +19,30 @@ namespace ube {
 /// The schema matching operator must "enumerate pairs of schema elements at
 /// any given two sources and compute a measure of similarity between each
 /// pair" (Section 2.1). Because µBE evaluates Match(S) for thousands of
-/// candidate source sets during one tabu search, we compute all cross-source
-/// attribute similarities once per universe and keep only the edges whose
-/// similarity reaches `floor` (any matching threshold θ used later must be
-/// ≥ floor). Attributes are addressed by a dense universe-wide index.
+/// candidate source sets during one tabu search, we compute all attribute
+/// similarities once per universe and keep only the edges whose similarity
+/// reaches `floor` (any matching threshold θ used later must be ≥ floor).
+/// Attributes are addressed by a dense universe-wide index.
 ///
-/// The graph owns its similarity measure. Attribute names are interned, and
-/// the similarity of each distinct name pair is computed at most once per
-/// build: deep-web interfaces reuse labels, so K distinct names are far fewer
-/// than n attributes. For the paper's default n-gram Jaccard measure the
-/// candidate names come from an inverted index over n-grams and each score
-/// from a shared-gram count; other measures score every distinct name pair.
-/// Each name keeps a sparse row of the names it has an edge to, and the
-/// attribute rows are filled by lookup. Construction costs the walk over
-/// each name's posting lists plus an n²/2 lookup scan with a small constant;
-/// no K² table is stored.
+/// The similarity of two attributes depends only on their names, and
+/// deep-web interfaces reuse labels (K distinct names ≪ n attributes), so
+/// the graph is one row per interned name: the names it has an edge to,
+/// highest similarity first. Each name is scored once, when interned,
+/// against every earlier name and itself (for n-gram Jaccard, candidates
+/// come from an inverted index over n-grams). Attributes of different
+/// sources share an edge exactly when their names do; EdgesOf and
+/// num_edges derive that attribute view on demand.
 class SimilarityGraph {
  public:
   struct Edge {
     int32_t neighbor;   ///< dense index of the other attribute
     float similarity;   ///< in [floor, 1]
   };
+  struct NameEdge {
+    int32_t name;       ///< interned name id
+    float similarity;   ///< in [floor, 1], and > 0
+  };
+  static_assert(sizeof(NameEdge) == 8, "a name-row entry is 8 bytes");
 
   /// Builds the graph over all cross-source attribute pairs of `universe`.
   SimilarityGraph(const Universe& universe,
@@ -63,25 +66,39 @@ class SimilarityGraph {
   /// Original (un-normalized) name of the attribute at `dense_index`.
   const std::string& Name(int dense_index) const;
 
-  /// Edges of one attribute, sorted by neighbor index. Only cross-source
-  /// pairs with similarity >= floor appear.
-  const std::vector<Edge>& EdgesOf(int dense_index) const;
+  /// Number of interned names. Interned names are append-only: a name no
+  /// attribute uses any more keeps its id and row.
+  int num_names() const { return static_cast<int>(names_.size()); }
+  /// Interned name id of the attribute at `dense_index` (unchecked).
+  int32_t NameId(int dense_index) const {
+    return name_of_[static_cast<size_t>(dense_index)];
+  }
+  /// Raw text of interned name `name`.
+  const std::string& InternedName(int32_t name) const;
+  /// Every interned name y with s = Score(name, y) >= floor && s > 0,
+  /// `name` itself included, stored as static_cast<float>(s): highest
+  /// similarity first, ties by ascending name id. Unchecked.
+  const std::vector<NameEdge>& NameRow(int32_t name) const {
+    return name_rows_[static_cast<size_t>(name)];
+  }
+
+  /// Edges of one attribute, sorted by neighbor index: every attribute of
+  /// another source whose name is in this attribute's name row. Built on
+  /// each call in O(n + K).
+  std::vector<Edge> EdgesOf(int dense_index) const;
 
   /// Exact similarity of an arbitrary attribute pair (recomputed; may be
   /// below floor). Used for user-GA quality, which has no threshold.
   double PairSimilarity(int a, int b) const;
 
-  /// Total number of stored undirected edges.
-  size_t num_edges() const { return num_edges_; }
+  /// Total number of undirected attribute edges, counted through EdgesOf.
+  size_t num_edges() const;
 
   // --- incremental maintenance (live universe, src/source/live_universe.h) --
   //
-  // The patch operations keep the graph byte-identical to a from-scratch
-  // rebuild over the mutated universe (Fingerprint() is the oracle the
-  // property suite checks): only edges incident to the changed source are
-  // recomputed, every other row is renumbered in place. A recomputed row
-  // costs one name row (its name scored against the K interned names) plus
-  // a lookup scan over the n attributes; the renumbering is O(E).
+  // A patch keeps the graph byte-identical to a rebuild over the mutated
+  // universe (Fingerprint()): it re-interns the changed attributes' names,
+  // scoring only names never seen before, and moves offsets.
 
   /// Removes every attribute of `source` from the graph (the source's slot
   /// stays — it just becomes zero-width, exactly as rebuilding over a
@@ -94,8 +111,6 @@ class SimilarityGraph {
   /// shell being revived, or `source == S` (one past the last indexed
   /// source), which appends a new slot — the layout a rebuild over the
   /// grown universe produces, because new sources get the highest id.
-  /// Similarities are computed with the same code path as construction, so
-  /// edge floats match a rebuild bit for bit.
   void PatchSourceAdded(const Universe& universe, SourceId source);
 
   // Attribute-level patches (schema drift). The universe's schema must
@@ -103,25 +118,24 @@ class SimilarityGraph {
   // to it. Same bit-identity contract as the source-level patches.
 
   /// Attribute `attr_index` of `source` was renamed in place: its dense
-  /// index and AttributeId are unchanged, but its name is re-interned and
-  /// every incident edge recomputed.
+  /// index and AttributeId are unchanged, but its name is re-interned.
   void PatchAttributeRenamed(const Universe& universe, SourceId source,
                              int attr_index);
 
   /// A new attribute was appended to `source` (it now occupies the schema's
   /// last index — the attribute-level analogue of the dense-id rule for new
-  /// sources). Inserts its row at the end of the source's block, renumbers
-  /// later rows, and computes its edges.
+  /// sources). Inserts it at the end of the source's block.
   void PatchAttributeAdded(const Universe& universe, SourceId source);
 
   /// Attribute `attr_index` of `source` was removed; later attributes of
-  /// the source shifted down by one. Erases the row, renumbers, and repairs
-  /// the AttributeIds of the source's later attributes.
+  /// the source shifted down by one. Erases it and repairs the
+  /// AttributeIds of the source's later attributes.
   void PatchAttributeDropped(SourceId source, int attr_index);
 
   /// Order-sensitive structural hash over (offsets, attribute ids, names,
-  /// adjacency including similarity float bits, edge count). Two graphs
-  /// with equal fingerprints are byte-identical for every query above.
+  /// the derived attribute edges including similarity float bits, edge
+  /// count). Two graphs with equal fingerprints are byte-identical for
+  /// every query above.
   uint64_t Fingerprint() const;
 
   /// Number of source slots the graph indexes (a live universe grows this
@@ -131,37 +145,30 @@ class SimilarityGraph {
   }
 
  private:
-  /// Drops every edge incident to row `dense` (mirrors included) and clears
-  /// the row.
-  void EraseRowEdges(int dense);
-  /// Returns the id of `name`, interning it (and indexing its n-grams) on
-  /// first sight. Interned names are append-only; a name no attribute uses
-  /// any more stays, but is never looked up by an attribute row.
+  /// Returns the id of `name`. On first sight the name is interned and
+  /// scored as Score(name, y) against every earlier name y and itself; each
+  /// kept pair enters both rows. Construction and every patch intern here.
   int32_t Intern(const std::string& name);
-  /// Computes the edges of rows [first, last) against every attribute
-  /// outside each row's own source block, mirroring each edge into the
-  /// neighbor's sorted row. The rows must be empty, and [first, last) is
-  /// either every row (construction) or lies inside one source block (the
-  /// patches). Construction and every patch that recomputes rows go through
-  /// here, so edge floats match a rebuild bit for bit.
-  void FillRows(int first, int last);
+  /// Moves the start of every source slot after `source` by `delta`.
+  void ShiftOffsetsAfter(SourceId source, int delta);
 
   double floor_;
   std::unique_ptr<AttributeSimilarity> measure_;
   std::vector<AttributeId> attr_ids_;          // dense index -> id
   std::vector<int> source_offsets_;            // source -> first dense index
   std::vector<int32_t> name_of_;               // dense index -> name id
-  std::vector<std::vector<Edge>> adjacency_;
-  size_t num_edges_ = 0;
 
   // Interned names, indexed by name id.
   std::vector<std::string> names_;             // raw name
   std::unordered_map<std::string, int32_t> name_ids_;
+  std::vector<std::vector<NameEdge>> name_rows_;
   // n-gram fast path only (ngram_n_ > 0).
   int ngram_n_ = 0;
   std::vector<NgramSet> ngram_sets_;           // name id -> n-gram set
   std::unordered_map<uint64_t, std::vector<int32_t>> postings_;  // gram -> ids
   std::vector<int32_t> empty_names_;           // ids with no n-gram
+  // Intern's scratch: name id -> shared-gram count, all 0 between calls.
+  std::vector<int32_t> shared_;
 };
 
 }  // namespace ube

@@ -1,6 +1,7 @@
 #include "optimize/evaluator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "obs/obs.h"
@@ -200,8 +201,8 @@ Status CandidateEvaluator::ValidateSpec(const Universe& universe,
   if (spec.max_sources < 1) {
     return Status::InvalidArgument("m (max_sources) must be >= 1");
   }
-  if (spec.theta < 0.0 || spec.theta > 1.0) {
-    return Status::InvalidArgument("θ must be in [0, 1]");
+  if (!std::isfinite(spec.theta) || spec.theta < 0.0 || spec.theta > 1.0) {
+    return Status::InvalidArgument("θ must be a finite number in [0, 1]");
   }
   if (spec.beta < 1) {
     return Status::InvalidArgument("β must be >= 1");

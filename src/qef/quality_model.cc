@@ -68,8 +68,8 @@ Status QualityModel::RescaleWeight(std::vector<double>* weights, int index,
   if (index < 0 || index >= static_cast<int>(w.size())) {
     return Status::InvalidArgument("weight index out of range");
   }
-  if (weight < 0.0 || weight > 1.0) {
-    return Status::InvalidArgument("weight must be in [0, 1]");
+  if (!std::isfinite(weight) || weight < 0.0 || weight > 1.0) {
+    return Status::InvalidArgument("weight must be a finite number in [0, 1]");
   }
   double others = 0.0;
   for (size_t i = 0; i < w.size(); ++i) {
@@ -110,8 +110,9 @@ Status QualityModel::ValidateWeightVector(
   }
   double sum = 0.0;
   for (double w : weights) {
-    if (w < 0.0 || w > 1.0) {
-      return Status::InvalidArgument("each weight must be in [0, 1]");
+    if (!std::isfinite(w) || w < 0.0 || w > 1.0) {
+      return Status::InvalidArgument(
+          "each weight must be a finite number in [0, 1]");
     }
     sum += w;
   }

@@ -1,3 +1,4 @@
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -85,6 +86,38 @@ TEST(EngineTest, SolveValidatesSpec) {
   EXPECT_EQ(session.stats().failed_solves, 1);
   EXPECT_EQ(session.num_iterations(), 1);
   EXPECT_EQ(session.last()->sources, before.sources);
+  EXPECT_EQ(session.last()->quality, before.quality);
+}
+
+// A NaN θ passes both `θ < 0 || θ > 1` and Match's `θ < floor`, and would
+// silently match at the floor; every entry point rejects a non-finite θ.
+TEST(EngineTest, NonFiniteThetaRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Engine engine = MakeEngine();
+  for (double bad : {nan, inf, -inf}) {
+    SCOPED_TRACE(bad);
+    ProblemSpec spec;
+    spec.max_sources = 5;
+    spec.theta = bad;
+    Result<Solution> solved = engine.Solve(spec, SolverKind::kTabu,
+                                           FastSolve());
+    ASSERT_FALSE(solved.ok());
+    EXPECT_EQ(solved.status().code(), StatusCode::kInvalidArgument);
+    Result<MatchResult> match = engine.MatchSources(spec, {0, 1, 2, 3, 4});
+    ASSERT_FALSE(match.ok());
+    EXPECT_EQ(match.status().code(), StatusCode::kInvalidArgument);
+  }
+
+  Session session(&engine);
+  session.SetMaxSources(5);
+  ASSERT_TRUE(session.Iterate(SolverKind::kTabu, FastSolve()).ok());
+  const Solution before = *session.last();
+  session.SetTheta(nan);
+  Result<Solution> failed = session.Iterate(SolverKind::kTabu, FastSolve());
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(session.num_iterations(), 1);
   EXPECT_EQ(session.last()->quality, before.quality);
 }
 

@@ -1,3 +1,4 @@
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -104,6 +105,20 @@ TEST(SimilarityGraphTest, GenericMeasureFallback) {
 }
 
 // --------------------------- ClusterMatcher -----------------------------
+
+TEST(ClusterMatcherTest, NonFiniteThetaRejected) {
+  Universe u = MakeUniverse({{"title", "author"}, {"title", "author"}});
+  SimilarityGraph g = SimilarityGraph::WithDefaults(u);
+  ClusterMatcher m(u, g);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    Result<MatchResult> r = m.Match({0, 1}, {}, {}, Opts(bad));
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+}
 
 TEST(ClusterMatcherTest, IdenticalNamesFormOneGa) {
   Universe u = MakeUniverse({{"title", "author"},
@@ -428,12 +443,13 @@ uint64_t FreshFingerprint(const Universe& universe,
 }
 
 // The matcher's working memory is per thread, sized by the largest graph
-// the thread has matched over, and must be left clean by every call. One
-// thread alternates between matchers whose graphs have different attribute
-// counts — and over a LiveUniverse graph grown in place by a source add and
-// then an attribute add, each growth making it the largest graph yet —
-// and every call must fingerprint like a fresh matcher over a rebuilt
-// graph.
+// (attributes and interned names) the thread has matched over, and must be
+// left clean by every call. One thread alternates between matchers whose
+// graphs have different attribute counts — and over a LiveUniverse graph
+// grown in place by a source add and then an attribute add, each growth
+// making it the largest graph yet, then by a rename and a source add that
+// intern names never seen before — and every call must fingerprint like a
+// fresh matcher over a rebuilt graph.
 TEST(ClusterMatcherTest, ScratchReuseAcrossGraphsMatchesFreshMatcher) {
   Universe small = BooksUniverse(12, 5);
   Universe medium = BooksUniverse(30, 6);
@@ -500,6 +516,31 @@ TEST(ClusterMatcherTest, ScratchReuseAcrossGraphsMatchesFreshMatcher) {
   attr.attr_name = "publisher";
   ASSERT_TRUE(live.Apply(attr).ok());
   ASSERT_EQ(live.graph().num_attributes(), before_attr + 1);
+  alternate();
+
+  // ...then by a rename to a name never seen before...
+  const int names_before_rename = live.graph().num_names();
+  ChurnEvent rename;
+  rename.time_ms = 3.0;
+  rename.kind = ChurnEventKind::kAttrRename;
+  rename.source = 2;
+  rename.attr_index = 0;
+  rename.attr_name = "title of the volume";
+  ASSERT_TRUE(live.Apply(rename).ok());
+  ASSERT_EQ(live.graph().num_names(), names_before_rename + 1);
+  alternate();
+
+  // ...and by a source whose names are all new.
+  const int names_before_add = live.graph().num_names();
+  ChurnEvent fresh;
+  fresh.time_ms = 4.0;
+  fresh.kind = ChurnEventKind::kAdd;
+  fresh.source = live.universe().num_sources();
+  fresh.added = std::make_unique<DataSource>(
+      "stranger", SourceSchema({"titles of book", "authored by",
+                                "isbn-13 code", "list price usd"}));
+  ASSERT_TRUE(live.Apply(fresh).ok());
+  ASSERT_EQ(live.graph().num_names(), names_before_add + 4);
   alternate();
 }
 

@@ -183,6 +183,55 @@ TEST(SimilarityPropertyTest, HybridCombinatorLaws) {
   }
 }
 
+// Name-row half of the oracle. Every pair of interned names x, y is scored
+// directly, s = measure().Score(x, y): y is in row(x) exactly when
+// s >= floor && s > 0 (x itself included), stored as static_cast<float>(s).
+// Each row is similarity-descending with ties by ascending id, and y is in
+// row(x) exactly when x is in row(y), with equal float bits.
+void ExpectNameRowsMatchDefinition(const SimilarityGraph& graph) {
+  const int k = graph.num_names();
+  std::vector<std::vector<float>> row_sim(
+      static_cast<size_t>(k),
+      std::vector<float>(static_cast<size_t>(k), -1.0f));
+  for (int32_t x = 0; x < k; ++x) {
+    const auto& row = graph.NameRow(x);
+    for (size_t i = 0; i < row.size(); ++i) {
+      ASSERT_GE(row[i].name, 0);
+      ASSERT_LT(row[i].name, k);
+      ASSERT_EQ(row_sim[static_cast<size_t>(x)][static_cast<size_t>(
+                    row[i].name)],
+                -1.0f)
+          << "name " << row[i].name << " twice in row " << x;
+      row_sim[static_cast<size_t>(x)][static_cast<size_t>(row[i].name)] =
+          row[i].similarity;
+      if (i > 0) {
+        const bool descending =
+            row[i - 1].similarity > row[i].similarity ||
+            (row[i - 1].similarity == row[i].similarity &&
+             row[i - 1].name < row[i].name);
+        ASSERT_TRUE(descending) << "row " << x << " entry " << i;
+      }
+    }
+  }
+  for (int32_t x = 0; x < k; ++x) {
+    for (int32_t y = 0; y < k; ++y) {
+      const float got =
+          row_sim[static_cast<size_t>(x)][static_cast<size_t>(y)];
+      ASSERT_EQ(std::bit_cast<uint32_t>(got),
+                std::bit_cast<uint32_t>(
+                    row_sim[static_cast<size_t>(y)][static_cast<size_t>(x)]))
+          << "rows " << x << " and " << y << " disagree";
+      const double s = graph.measure().Score(graph.InternedName(x),
+                                             graph.InternedName(y));
+      const float want =
+          s >= graph.floor() && s > 0.0 ? static_cast<float>(s) : -1.0f;
+      ASSERT_EQ(std::bit_cast<uint32_t>(got), std::bit_cast<uint32_t>(want))
+          << "row " << x << " (\"" << graph.InternedName(x) << "\") -> " << y
+          << " (\"" << graph.InternedName(y) << "\")";
+    }
+  }
+}
+
 // Graph-content oracle. It checks a SimilarityGraph against its definition
 // through the public API only, so it catches a bug that construction and the
 // live patches share (the patch-vs-rebuild suite compares two outputs of the
@@ -190,9 +239,11 @@ TEST(SimilarityPropertyTest, HybridCombinatorLaws) {
 // directly, s = measure().Score(name_a, name_b): the edge is in both rows
 // exactly when s >= floor && s > 0, stored as static_cast<float>(s). Rows
 // are sorted by neighbor, same-source pairs have no edge, and num_edges()
-// is the brute-force count.
+// is the brute-force count. The name rows are checked too.
 void ExpectGraphMatchesDefinition(const Universe& universe,
                                   const SimilarityGraph& graph) {
+  ExpectNameRowsMatchDefinition(graph);
+  if (::testing::Test::HasFatalFailure()) return;
   std::vector<AttributeId> ids;  // dense order
   std::vector<std::string> names;
   for (SourceId s = 0; s < universe.num_sources(); ++s) {

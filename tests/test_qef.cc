@@ -1,3 +1,4 @@
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -329,6 +330,28 @@ TEST(QualityModelTest, SetWeightRescalingKeepsSumOne) {
   EXPECT_NEAR(model.weight(0) / model.weight(2), 0.25 / 0.20, 1e-9);
   EXPECT_FALSE(model.SetWeightRescaling("nope", 0.5).ok());
   EXPECT_FALSE(model.SetWeightRescaling("cardinality", 1.5).ok());
+}
+
+// A NaN passes every `w < 0 || w > 1` and `|sum - 1| > eps` test, so each
+// entry point checks finiteness explicitly; the weights stay as they were.
+TEST(QualityModelTest, NonFiniteWeightsRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  QualityModel model = QualityModel::MakeDefault();
+  const std::vector<double> before = model.weights();
+  for (double bad : {nan, inf, -inf}) {
+    SCOPED_TRACE(bad);
+    Status status = model.SetWeights({bad, 0.25, 0.25, 0.25, 0.25});
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    status = model.SetWeightRescaling("cardinality", bad);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    std::vector<double> overlay = before;
+    status = QualityModel::RescaleWeight(&overlay, 1, bad);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_EQ(overlay, before);
+    EXPECT_EQ(model.weights(), before);
+  }
+  EXPECT_TRUE(model.ValidateWeights().ok());
 }
 
 TEST(QualityModelTest, EvaluateIsWeightedSum) {

@@ -5,7 +5,9 @@
 // never cross-serve two specs (verify-on-hit), warm-start re-solve with a
 // cold fallback — and replays N concurrent sessions deterministically (the
 // TSan soak target in CI).
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -286,6 +288,44 @@ TEST(SessionServerTest, FailedIterateKeepsHistoryAndCountsIt) {
   EXPECT_EQ(session->num_iterations(), 1);
   ExpectSameSolution(*session->last(), before);
   EXPECT_EQ(session->stats().failed_solves, 1);
+}
+
+// A non-finite weight must not reach the evaluator: SetWeight rejects it
+// and leaves the session's overlay as it was, so the next Iterate scores a
+// finite Q(S); a solve whose overlay carries one is rejected up front.
+TEST(SessionServerTest, NonFiniteWeightIsRejectedAndOverlayUnchanged) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  SessionServer server(MakeEngine(), FastServerOptions());
+  auto [id, session] = server.Open();
+  (void)id;
+  session->SetMaxSources(5);
+  for (double bad : {nan, inf, -inf}) {
+    SCOPED_TRACE(bad);
+    Status status = session->SetWeight("cardinality", bad);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_TRUE(session->spec().weight_overlay.empty());
+  }
+  ASSERT_TRUE(session->SetWeight("coverage", 0.4).ok());
+  const std::vector<double> overlay = session->spec().weight_overlay;
+  for (double bad : {nan, inf, -inf}) {
+    SCOPED_TRACE(bad);
+    Status status = session->SetWeight("cardinality", bad);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_EQ(session->spec().weight_overlay, overlay);
+  }
+  EXPECT_EQ(session->stats().feedback_gestures, 1);
+  Result<Solution> solved = session->Iterate();
+  ASSERT_TRUE(solved.ok()) << solved.status();
+  EXPECT_TRUE(std::isfinite(solved->quality));
+
+  ProblemSpec spec;
+  spec.max_sources = 5;
+  spec.weight_overlay = {nan, 0.25, 0.25, 0.25, 0.25};
+  Result<Solution> rejected =
+      server.engine().Solve(spec, SolverKind::kTabu, FastSolve());
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ----------------------- concurrent determinism --------------------------
