@@ -206,9 +206,8 @@ void BM_WorkloadGeneration(benchmark::State& state) {
 BENCHMARK(BM_WorkloadGeneration)->Arg(100)->Arg(400)
     ->Unit(benchmark::kMillisecond);
 
-// The delta path only engages on models without a matching QEF (Match(S)
-// is not incrementally maintainable), so the flip sweep scores the four
-// data QEFs — the same model shape the delta oracle tests use.
+// The four data QEFs — the same model shape the delta oracle tests use, and
+// the one whose flips never run Match(S).
 ube::QualityModel DataOnlyModel() {
   ube::QualityModel model;
   model.AddQef(std::make_unique<ube::CardinalityQef>(), 0.4);
@@ -221,26 +220,29 @@ ube::QualityModel DataOnlyModel() {
 }
 
 // Single-flip evaluation throughput: one seeded tabu-style move stream over
-// a paper-scale 1000-source universe, each flip scored as a one-move
-// neighborhood — through DeltaEvaluator's incremental path and (unless
-// --delta restricts the sweep) through the full QualityBatch path. The full
-// path pays O(|universe|) per evaluation (characteristic normalization
-// rescans) while the delta path's per-flip cost is independent of universe
-// size, which is the quantity this sweep tracks. Identical rng streams give
-// identical candidate sequences, cache behavior included, so the ratio is a
-// pure per-flip-cost comparison. Emits flip_delta_per_s and, on the default
-// two-sided run, flip_full_per_s + delta_flip_speedup.
-void RunFlipSweep(ube::bench::BenchHarness& bench, bool delta_only) {
+// a `num_sources`-source universe with candidates of up to `m` sources,
+// each flip scored as a one-move neighborhood — through DeltaEvaluator's
+// incremental path and (unless --delta restricts the sweep) through the
+// full QualityBatch path. Both paths score from the evaluator's tables; the
+// full path takes each flip's sketch union from scratch (|S| word ORs, or
+// Clone+MergeFrom), the delta path from the base's prefix/suffix unions.
+// A model with a matching QEF runs Match(S) per flip on both paths.
+// Identical rng streams give identical candidate sequences, cache behavior
+// included, so the ratio is a pure per-flip-cost comparison. Emits
+// flip_<tag>delta_per_s and, on the default two-sided run,
+// flip_<tag>full_per_s + delta_flip_speedup<_tag>.
+void RunFlipSweep(ube::bench::BenchHarness& bench, bool delta_only,
+                  int num_sources, int m, const ube::QualityModel& model,
+                  const std::string& tag) {
   ube::WorkloadConfig config;
-  config.num_sources = 1000;
+  config.num_sources = num_sources;
   config.scale = 0.01;
   ube::GeneratedWorkload workload = ube::GenerateWorkload(config);
   ube::SimilarityGraph graph =
       ube::SimilarityGraph::WithDefaults(workload.universe, 0.25);
   ube::ClusterMatcher matcher(workload.universe, graph);
-  ube::QualityModel model = DataOnlyModel();
   ube::ProblemSpec spec;
-  spec.max_sources = 20;
+  spec.max_sources = m;
   ube::CandidateEvaluator evaluator(workload.universe, matcher, model, spec);
 
   constexpr int kFlips = 4000;
@@ -263,21 +265,26 @@ void RunFlipSweep(ube::bench::BenchHarness& bench, bool delta_only) {
     benchmark::DoNotOptimize(sink);
   };
 
-  const double delta_ms = bench.TimeMs("flip_delta", [&] { sweep(true); });
+  const std::string prefix = tag.empty() ? "flip_" : "flip_" + tag + "_";
+  const std::string label = tag.empty() ? "" : " " + tag;
+  const double delta_ms =
+      bench.TimeMs(prefix + "delta", [&] { sweep(true); });
   const double delta_per_s = delta_ms > 0.0 ? kFlips / (delta_ms / 1e3) : 0.0;
-  bench.SetMetric("flip_delta_per_s", delta_per_s);
-  std::printf("flip sweep (delta): %d flips in %.2f ms (%.0f flips/s)\n",
-              kFlips, delta_ms, delta_per_s);
+  bench.SetMetric(prefix + "delta_per_s", delta_per_s);
+  std::printf("flip sweep%s (delta): %d flips in %.2f ms (%.0f flips/s)\n",
+              label.c_str(), kFlips, delta_ms, delta_per_s);
   if (delta_only) return;
-  const double full_ms = bench.TimeMs("flip_full", [&] { sweep(false); });
+  const double full_ms = bench.TimeMs(prefix + "full", [&] { sweep(false); });
   const double full_per_s = full_ms > 0.0 ? kFlips / (full_ms / 1e3) : 0.0;
-  bench.SetMetric("flip_full_per_s", full_per_s);
+  bench.SetMetric(prefix + "full_per_s", full_per_s);
   const double speedup = delta_ms > 0.0 ? full_ms / delta_ms : 0.0;
-  bench.SetMetric("delta_flip_speedup", speedup);
+  bench.SetMetric(tag.empty() ? "delta_flip_speedup"
+                              : "delta_flip_speedup_" + tag,
+                  speedup);
   std::printf(
-      "flip sweep (full):  %d flips in %.2f ms (%.0f flips/s) — "
+      "flip sweep%s (full):  %d flips in %.2f ms (%.0f flips/s) — "
       "delta speedup %.1fx\n",
-      kFlips, full_ms, full_per_s, speedup);
+      label.c_str(), kFlips, full_ms, full_per_s, speedup);
 }
 
 // Console output as usual, plus every benchmark's per-iteration real time
@@ -323,6 +330,10 @@ int main(int argc, char** argv) {
   MetricReporter reporter(&bench);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  RunFlipSweep(bench, delta_only);
+  // Data-only model at paper scale (|U| = 1000, m = 20), then the paper's
+  // default model at the feedback_default shape (|U| = 200, m = 10).
+  RunFlipSweep(bench, delta_only, 1000, 20, DataOnlyModel(), "");
+  RunFlipSweep(bench, delta_only, 200, 10, ube::QualityModel::MakeDefault(),
+               "default");
   return bench.Finish();
 }

@@ -147,8 +147,9 @@ int main(int argc, char** argv) {
   }
   bench.SetMetric("batch_identical", static_cast<int64_t>(all_identical));
 
-  // Delta axis: single-flip neighborhoods on a data-only model (a matching
-  // QEF needs Match(S) and turns the delta path off by design).
+  // Delta axis: single-flip neighborhoods on a data-only model, where no
+  // flip runs Match(S), so the delta path's union saving is the whole cost
+  // difference.
   std::printf("\nSingle-flip scoring, data-only model (--delta axis):\n");
   QualityModel data_model;
   data_model.AddQef(std::make_unique<CardinalityQef>(), 0.4);

@@ -108,6 +108,7 @@ Result<ProblemSpec> Engine::EffectiveSpec(const ProblemSpec& spec) const {
 }
 
 Result<ProblemSpec> Engine::ValidatedSpec(const ProblemSpec& spec) const {
+  UBE_RETURN_IF_ERROR(live_.status());
   Result<ProblemSpec> effective = EffectiveSpec(spec);
   UBE_RETURN_IF_ERROR(effective.status());
   UBE_RETURN_IF_ERROR(

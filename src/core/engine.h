@@ -228,10 +228,10 @@ class Engine {
   /// `spec` untouched when nothing was dropped.
   Result<ProblemSpec> EffectiveSpec(const ProblemSpec& spec) const;
 
-  /// The validation Solve, RepairSeed and EvaluateCandidate share:
-  /// EffectiveSpec, then ValidateSpec, ValidateOverlay and θ against the
-  /// similarity graph's floor (every Match would fail below it). Returns the
-  /// effective spec.
+  /// The validation Solve, RepairSeed and EvaluateCandidate share: the
+  /// live universe's status (mixed signature formats), EffectiveSpec, then
+  /// ValidateSpec, ValidateOverlay and θ against the similarity graph's
+  /// floor (every Match would fail below it). Returns the effective spec.
   Result<ProblemSpec> ValidatedSpec(const ProblemSpec& spec) const;
 
   QualityModel model_;

@@ -13,7 +13,9 @@ SessionServer::SessionServer(Engine engine, Options options)
   // Force the lazy caches now, while the server is still single-threaded:
   // Universe::UnionSignature()/FreshUnionSignature() build on first use,
   // and N sessions constructing evaluators concurrently must only ever
-  // read them.
+  // read them. A universe that mixes signature formats cannot be merged;
+  // its sessions get the engine's Status instead of an evaluator.
+  if (!engine_.live().status().ok()) return;
   (void)engine_.universe().UnionSignature();
   (void)engine_.universe().FreshUnionSignature();
 }

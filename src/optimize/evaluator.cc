@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <optional>
+#include <typeinfo>
 
 #include "obs/obs.h"
+#include "sketch/pcsa.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -188,6 +191,34 @@ CandidateEvaluator::CandidateEvaluator(const Universe& universe,
   for (int i = 0; i < model.num_qefs(); ++i) {
     scorers_.push_back(model.qef(i).MakeDeltaScorer(universe));
   }
+  no_match_.valid = true;  // no matching QEF: feasibility is structural
+
+  // The per-source table, in one pass: the degradation policy is a pure
+  // function of each source's stats, and the universe must not mutate
+  // during a search, so it is applied once here instead of once per member
+  // per evaluation. Unions are word ORs only when every admitted signature
+  // is a PcsaSignature of one width (the class is final, so an exact type
+  // check suffices); exact signatures keep MakeContext's Clone+MergeFrom.
+  const int n = universe.num_sources();
+  sources_.resize(static_cast<size_t>(n));
+  for (SourceId s = 0; s < n; ++s) {
+    const DataSource& source = universe.source(s);
+    const QualityModel::SourcePolicy policy = model.PolicyFor(source);
+    SourceEntry& e = sources_[static_cast<size_t>(s)];
+    e.cardinality = source.cardinality();
+    e.contribution = policy.weight * static_cast<double>(source.cardinality());
+    e.degraded = policy.degraded;
+    e.admitted = policy.admit_signature && source.has_signature();
+    if (!e.admitted) continue;
+    e.signature = &source.signature();
+    if (typeid(*e.signature) == typeid(PcsaSignature)) {
+      e.pcsa_words =
+          &static_cast<const PcsaSignature&>(*e.signature).sketch().bitmaps();
+      if (words_ == 0) words_ = e.pcsa_words->size();
+    }
+    pcsa_uniform_ = pcsa_uniform_ && e.pcsa_words != nullptr &&
+                    e.pcsa_words->size() == words_;
+  }
 }
 
 Status CandidateEvaluator::ValidateOverlay(const QualityModel& model,
@@ -280,25 +311,85 @@ CandidateEvaluator::Evaluation CandidateEvaluator::Evaluate(
   }
 #endif
 
-  CountEvaluation();
   Evaluation out;
+  out.breakdown = Score(candidate, UnionFromScratch(candidate), &out.match);
+  out.quality = out.breakdown.overall;
+  if (!needs_match_) out.match = no_match_;
+  return out;
+}
+
+QualityBreakdown CandidateEvaluator::Score(
+    const std::vector<SourceId>& candidate, double union_estimate,
+    MatchResult* match) const {
+  CountEvaluation();
+  EvalContext ctx;
+  ctx.universe = &universe_;
+  ctx.sources = &candidate;
+  ctx.match = &no_match_;
+  std::optional<MatchResult> discarded;
   if (needs_match_) {
     MatchOptions options;
     options.theta = spec_.theta;
     options.beta = spec_.beta;
-    Result<MatchResult> match =
+    Result<MatchResult> result =
         matcher_.Match(candidate, spec_.source_constraints,
                        spec_.ga_constraints, options);
-    UBE_CHECK(match.ok(), "Match failed: " + match.status().ToString());
-    out.match = std::move(match).value();
-  } else {
-    out.match.valid = true;  // no matching QEF: feasibility is structural
+    UBE_CHECK(result.ok(), "Match failed: " + result.status().ToString());
+    if (match == nullptr) match = &discarded.emplace();
+    *match = std::move(result).value();
+    ctx.match = match;
   }
-  EvalContext ctx =
-      model_.MakeContext(universe_, candidate, &out.match, denominators_);
-  out.breakdown = model_.Evaluate(ctx, effective_weights_, scorers_);
-  out.quality = out.breakdown.overall;
-  return out;
+  // Doubles are re-summed per evaluation, in candidate (ascending id)
+  // order, from the precomputed per-source terms: identical operands in
+  // identical order reproduce MakeContext's accumulation bits exactly.
+  for (SourceId s : candidate) {
+    const SourceEntry& e = sources_[static_cast<size_t>(s)];
+    ctx.total_cardinality += e.cardinality;
+    if (e.degraded) ++ctx.degraded_count;
+    ctx.effective_cardinality += e.contribution;
+    if (!e.admitted) continue;
+    ++ctx.cooperating_count;
+    ctx.cooperating_cardinality += e.contribution;
+  }
+  ctx.union_estimate = union_estimate;
+  ctx.universe_cardinality = denominators_.cardinality;
+  ctx.universe_union_estimate = denominators_.union_estimate;
+  return model_.Evaluate(ctx, effective_weights_, scorers_);
+}
+
+double CandidateEvaluator::UnionFromScratch(
+    const std::vector<SourceId>& candidate) const {
+  if (pcsa_uniform_) {
+    std::vector<uint32_t>& scratch = UnionScratch();
+    scratch.assign(words_, 0);
+    bool any = false;
+    for (SourceId s : candidate) {
+      const SourceEntry& e = sources_[static_cast<size_t>(s)];
+      if (!e.admitted) continue;
+      any = true;
+      const std::vector<uint32_t>& words = *e.pcsa_words;
+      for (size_t w = 0; w < words_; ++w) scratch[w] |= words[w];
+    }
+    return any ? PcsaSketch::EstimateFromBitmaps(scratch) : 0.0;
+  }
+  // Exact signatures: MakeContext's Clone-then-MergeFrom union, verbatim,
+  // so the estimate bits cannot differ.
+  std::unique_ptr<DistinctSignature> union_sig;
+  for (SourceId s : candidate) {
+    const SourceEntry& e = sources_[static_cast<size_t>(s)];
+    if (!e.admitted) continue;
+    if (union_sig == nullptr) {
+      union_sig = e.signature->Clone();
+    } else {
+      union_sig->MergeFrom(*e.signature);
+    }
+  }
+  return union_sig == nullptr ? 0.0 : union_sig->Estimate();
+}
+
+std::vector<uint32_t>& CandidateEvaluator::UnionScratch() {
+  thread_local std::vector<uint32_t> scratch;
+  return scratch;
 }
 
 uint64_t CandidateEvaluator::CacheKey(

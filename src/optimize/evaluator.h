@@ -122,9 +122,13 @@ class SharedQualityCache {
 ///
 /// Everything a score needs that depends only on the universe is computed
 /// once, at construction: the policy-adjusted denominators
-/// (QualityModel::UniverseDenominators) and each QEF's MakeDeltaScorer table
-/// (null for the matching and lambda QEFs, which Evaluate scores through
-/// Qef::Evaluate). A DeltaEvaluator over this evaluator borrows both.
+/// (QualityModel::UniverseDenominators), each QEF's MakeDeltaScorer table
+/// (null for the matching and lambda QEFs, which are scored through
+/// Qef::Evaluate) and the per-source table (cardinality, policy-weighted
+/// contribution, admitted and degraded bits, signature and sketch words).
+/// Every Q(S), for every model, is computed from these tables by one
+/// private Score: Evaluate hands it a union taken from scratch, and a
+/// DeltaEvaluator over this evaluator hands it its prefix/suffix union.
 ///
 /// Thread safety: Quality(), QualityBatch(), Evaluate() and the counters
 /// are safe to call concurrently (the referenced Universe/ClusterMatcher/
@@ -271,9 +275,38 @@ class CandidateEvaluator {
 
  private:
   /// The delta path (optimize/delta_evaluator.h) shares this evaluator's
-  /// universe tables, memo paths, counters and obs hooks so scores, budgets
-  /// and metrics stay identical with delta scoring on or off.
+  /// universe tables, Score, memo paths, counters and obs hooks so scores,
+  /// budgets and metrics stay identical with delta scoring on or off.
   friend class DeltaEvaluator;
+
+  /// One row of the per-source table: what MakeContext derives from a
+  /// source under the degradation policy, applied once at construction.
+  struct SourceEntry {
+    int64_t cardinality = 0;
+    /// Policy weight × cardinality — the term MakeContext adds to
+    /// effective_cardinality (and, when admitted, cooperating_cardinality).
+    double contribution = 0.0;
+    /// Signature admitted by the policy and present on the source.
+    bool admitted = false;
+    bool degraded = false;
+    const DistinctSignature* signature = nullptr;
+    /// Raw sketch words when the signature is a PcsaSignature.
+    const std::vector<uint32_t>* pcsa_words = nullptr;
+  };
+
+  /// The computation behind every Q(S): counts the evaluation, runs
+  /// Match(S) into *match when the model needs it (`match` may be null when
+  /// the caller has no use for the result), fills the context from the
+  /// per-source table and `union_estimate`, and scores it through
+  /// QualityModel::Evaluate with the scorer tables.
+  QualityBreakdown Score(const std::vector<SourceId>& candidate,
+                         double union_estimate, MatchResult* match) const;
+  /// |∪S| over the admitted members, from scratch: word ORs on the
+  /// uniform-PCSA table, MakeContext's Clone+MergeFrom otherwise.
+  double UnionFromScratch(const std::vector<SourceId>& candidate) const;
+  /// The word buffer unions are ORed into, one per thread: the misses of a
+  /// batch may run concurrently on a pool.
+  static std::vector<uint32_t>& UnionScratch();
 
   static uint64_t HashCandidate(const std::vector<SourceId>& candidate);
 
@@ -413,6 +446,14 @@ class CandidateEvaluator {
   /// The universe-wide work hoisted out of Evaluate (see the class comment).
   QualityModel::Denominators denominators_;
   std::vector<std::unique_ptr<QefDeltaScorer>> scorers_;  // parallel to QEFs
+  std::vector<SourceEntry> sources_;                       // by SourceId
+  /// True when every admitted signature is a PcsaSignature of `words_`
+  /// bitmaps, so unions are word ORs.
+  bool pcsa_uniform_ = true;
+  size_t words_ = 0;
+  /// The valid, empty Match result a model without a matching QEF scores
+  /// against, so every context carries a Match result.
+  MatchResult no_match_;
   mutable SharedQualityCache own_cache_;
   mutable SharedQualityCache* attached_cache_ = nullptr;
   HashFn hash_fn_ = &CandidateEvaluator::HashCandidate;

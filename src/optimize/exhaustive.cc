@@ -34,7 +34,7 @@ Result<Solution> ExhaustiveSolver::Solve(const CandidateEvaluator& evaluator,
   WallTimer timer(options.clock);
   evaluator.BeginRun();
   internal::SolveScope scope(evaluator, options, name());
-  DeltaEvaluator delta = internal::MakeDeltaEvaluator(evaluator, options);
+  DeltaEvaluator delta(evaluator, options.delta_eval);
 
   const int n = evaluator.universe().num_sources();
   const int m = evaluator.spec().max_sources;

@@ -25,7 +25,7 @@ Result<Solution> GreedySolver::Solve(const CandidateEvaluator& evaluator,
   evaluator.BeginRun();
   internal::SolveScope scope(evaluator, options, name());
   std::unique_ptr<ThreadPool> pool = internal::MakeEvalPool(options);
-  DeltaEvaluator delta = internal::MakeDeltaEvaluator(evaluator, options);
+  DeltaEvaluator delta(evaluator, options.delta_eval);
 
   const int n = evaluator.universe().num_sources();
   const int m = evaluator.spec().max_sources;

@@ -25,7 +25,7 @@ Result<Solution> LocalSearchSolver::Solve(const CandidateEvaluator& evaluator,
   internal::SolveScope scope(evaluator, options, name());
   Rng rng(options.seed);
   std::unique_ptr<ThreadPool> pool = internal::MakeEvalPool(options);
-  DeltaEvaluator delta = internal::MakeDeltaEvaluator(evaluator, options);
+  DeltaEvaluator delta(evaluator, options.delta_eval);
 
   const int n = evaluator.universe().num_sources();
   const int sample = options.candidate_moves > 0
@@ -132,7 +132,7 @@ Result<Solution> RandomSolver::Solve(const CandidateEvaluator& evaluator,
   evaluator.BeginRun();
   internal::SolveScope scope(evaluator, options, name());
   Rng rng(options.seed);
-  DeltaEvaluator delta = internal::MakeDeltaEvaluator(evaluator, options);
+  DeltaEvaluator delta(evaluator, options.delta_eval);
 
   std::vector<SourceId> best;
   double best_quality = -1.0;

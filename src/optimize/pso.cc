@@ -81,7 +81,7 @@ Result<Solution> PsoSolver::Solve(const CandidateEvaluator& evaluator,
   internal::SolveScope scope(evaluator, options, name());
   Rng rng(options.seed);
   std::unique_ptr<ThreadPool> pool = internal::MakeEvalPool(options);
-  DeltaEvaluator delta = internal::MakeDeltaEvaluator(evaluator, options);
+  DeltaEvaluator delta(evaluator, options.delta_eval);
 
   const int n = evaluator.universe().num_sources();
   const int m = evaluator.spec().max_sources;

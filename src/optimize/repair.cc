@@ -127,8 +127,7 @@ RepairResult RepairIncumbent(const CandidateEvaluator& evaluator,
   internal::SolveScope scope(evaluator, solver_options, "repair");
   Rng rng(solver_options.seed);
   std::unique_ptr<ThreadPool> pool = internal::MakeEvalPool(solver_options);
-  DeltaEvaluator delta =
-      internal::MakeDeltaEvaluator(evaluator, solver_options);
+  DeltaEvaluator delta(evaluator, solver_options.delta_eval);
 
   SearchState state(evaluator, damaged);
   double current = delta.Quality(state.sources());

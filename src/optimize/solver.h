@@ -52,11 +52,12 @@ struct SolverOptions {
   /// returned Solution are byte-identical either way.
   obs::ObsContext* obs = nullptr;
   /// Score candidates through the incremental delta path
-  /// (optimize/delta_evaluator.h) when the quality model supports it
-  /// (every QEF provides a delta scorer; matching models fall back to the
-  /// full path automatically). Results, counters and traces are
+  /// (optimize/delta_evaluator.h), for every quality model; a model with a
+  /// matching QEF still runs Match(S) per computed candidate. Off forwards
+  /// to CandidateEvaluator::Quality/QualityBatch, the reference path the
+  /// oracles compare against. Results, counters and traces are
   /// bit-identical on or off — this knob exists for A/B benchmarking
-  /// (bench/micro_ube --delta) and as an escape hatch.
+  /// (bench/micro_ube --delta) and for those oracles.
   bool delta_eval = true;
   /// Warm-start seed: a candidate the search starts from instead of a
   /// random draw — typically the previous incumbent of a feedback session,

@@ -85,8 +85,8 @@ struct EvalContext {
 /// any of the per-candidate universe-wide work Evaluate may redo on each
 /// call (min/max scans, characteristic lookups). Built once per
 /// CandidateEvaluator by Qef::MakeDeltaScorer against an immutable
-/// universe; the evaluator's full path and the DeltaEvaluator
-/// (src/optimize/delta_evaluator.h) both score through it.
+/// universe; every Q(S) the evaluator computes, on the full path and on
+/// the delta path (src/optimize/delta_evaluator.h), scores through it.
 ///
 /// Contract: Score(ctx) must return a double bit-identical to the owning
 /// Qef's Evaluate(ctx) for every context the quality model can build over
@@ -112,10 +112,10 @@ class Qef {
 
   /// Factory for this QEF's incremental scorer over `universe` (which must
   /// outlive the scorer and stay immutable while it is used). The default
-  /// returns null, meaning the QEF cannot be scored without per-candidate
-  /// global work — true for the matching-based QEFs (Match(S) is not
-  /// delta-maintainable) and user lambdas (opaque) — and the DeltaEvaluator
-  /// then falls back to full evaluation for the whole model.
+  /// returns null, meaning the QEF has no table to read — true for the
+  /// matching-based QEFs (they read the Match(S) result, which the evaluator
+  /// computes per candidate) and user lambdas (opaque) — and the evaluator
+  /// then scores it through Evaluate, on the delta path too.
   virtual std::unique_ptr<QefDeltaScorer> MakeDeltaScorer(
       const Universe& universe) const {
     (void)universe;

@@ -182,13 +182,6 @@ QualityModel::Denominators QualityModel::UniverseDenominators(
 EvalContext QualityModel::MakeContext(const Universe& universe,
                                       const std::vector<SourceId>& sources,
                                       const MatchResult* match) const {
-  return MakeContext(universe, sources, match, UniverseDenominators(universe));
-}
-
-EvalContext QualityModel::MakeContext(const Universe& universe,
-                                      const std::vector<SourceId>& sources,
-                                      const MatchResult* match,
-                                      const Denominators& denominators) const {
   EvalContext ctx;
   ctx.universe = &universe;
   ctx.sources = &sources;
@@ -201,8 +194,8 @@ EvalContext QualityModel::MakeContext(const Universe& universe,
 
     // Weight of this source's cardinality contributions and whether its
     // signature is admitted, per the degradation policy (shared with the
-    // delta path through PolicyFor). Fresh sources are weight 1 / admitted
-    // under every policy.
+    // evaluator's per-source table through PolicyFor). Fresh sources are
+    // weight 1 / admitted under every policy.
     const SourcePolicy policy = PolicyFor(source);
     if (policy.degraded) ++ctx.degraded_count;
     ctx.effective_cardinality +=
@@ -218,6 +211,7 @@ EvalContext QualityModel::MakeContext(const Universe& universe,
     }
   }
   ctx.union_estimate = union_sig == nullptr ? 0.0 : union_sig->Estimate();
+  const Denominators denominators = UniverseDenominators(universe);
   ctx.universe_cardinality = denominators.cardinality;
   ctx.universe_union_estimate = denominators.union_estimate;
   return ctx;

@@ -91,9 +91,9 @@ class QualityModel {
   /// How the active degradation policy treats one source: the weight of its
   /// cardinality contributions, whether its signature joins the union-of-S
   /// estimate, and whether it counts as degraded. Pure function of the
-  /// source's stats. MakeContext and the DeltaEvaluator both derive their
-  /// per-source treatment from this, so the full and delta paths cannot
-  /// drift apart.
+  /// source's stats. MakeContext and CandidateEvaluator's per-source table
+  /// both derive their per-source treatment from this, so the evaluator and
+  /// its ground truth cannot drift apart.
   struct SourcePolicy {
     double weight = 1.0;
     bool admit_signature = true;
@@ -112,17 +112,12 @@ class QualityModel {
   Denominators UniverseDenominators(const Universe& universe) const;
 
   /// Builds the evaluation context for candidate `sources` (precomputes the
-  /// shared aggregates). `match` may be null iff !NeedsMatching().
+  /// shared aggregates). `match` may be null iff !NeedsMatching(). Reads
+  /// no precomputed table, so it is the ground truth the evaluator's tables
+  /// are checked against.
   EvalContext MakeContext(const Universe& universe,
                           const std::vector<SourceId>& sources,
                           const MatchResult* match) const;
-
-  /// Same, with the universe-wide denominators supplied by the caller
-  /// (UniverseDenominators over the same universe) instead of recomputed.
-  EvalContext MakeContext(const Universe& universe,
-                          const std::vector<SourceId>& sources,
-                          const MatchResult* match,
-                          const Denominators& denominators) const;
 
   /// Scores a prepared context. If the context carries an invalid Match
   /// result the candidate is infeasible: overall = 0, feasible = false

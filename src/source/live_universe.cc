@@ -18,10 +18,18 @@ LiveUniverse::LiveUniverse(Universe universe, Options options)
       health_(options.breaker),
       refresh_retry_cost_ms_(options.refresh_retry_cost_ms),
       max_sources_(options.max_sources) {
-  for (SourceId s = 0; s < universe_->num_sources(); ++s) {
-    if (universe_->source(s).has_signature()) {
-      signature_format_ = SignatureFormat(universe_->source(s).signature());
-      break;
+  // Every signed source must share the first one's format, the rule Apply
+  // enforces on new sources; the first that does not is reported.
+  for (SourceId s = 0; s < universe_->num_sources() && status_.ok(); ++s) {
+    const DataSource& source = universe_->source(s);
+    if (!source.has_signature()) continue;
+    const std::string format = SignatureFormat(source.signature());
+    if (signature_format_.empty()) {
+      signature_format_ = format;
+    } else if (format != signature_format_) {
+      status_ = Status::InvalidArgument(
+          "source '" + source.name() + "' has a signature of format " +
+          format + " but the universe's signatures have " + signature_format_);
     }
   }
   std::unique_ptr<AttributeSimilarity> measure =

@@ -56,7 +56,7 @@ class LiveUniverse {
     /// grow the universe past this many sources fail with
     /// FailedPrecondition instead of being applied. Set it when downstream
     /// structures size fixed-width state at universe build (SearchState's
-    /// SourceBitset, the delta evaluator's per-source tables) so an
+    /// SourceBitset, the evaluator's per-source table) so an
     /// oversized id surfaces as a Status, never as out-of-range indexing.
     int max_sources = 0;
   };
@@ -74,6 +74,12 @@ class LiveUniverse {
   const ClusterMatcher& matcher() const { return *matcher_; }
   SourceHealthRegistry& health() { return health_; }
   const SourceHealthRegistry& health() const { return health_; }
+
+  /// OK unless the universe given to the constructor mixes signature
+  /// formats (signed sources of more than one SignatureFormat, a universe
+  /// no union estimate can merge); then an InvalidArgument naming the first
+  /// offending source, which every Engine call that evaluates returns.
+  const Status& status() const { return status_; }
 
   /// Bumped by every successfully applied event.
   int64_t version() const { return version_; }
@@ -113,6 +119,7 @@ class LiveUniverse {
   int max_sources_ = 0;
   /// SignatureFormat shared by every signed source; empty until one exists.
   std::string signature_format_;
+  Status status_;
   int64_t version_ = 0;
   double last_event_ms_ = 0.0;
 };

@@ -9,6 +9,7 @@
 #include "core/ga_evaluation.h"
 #include "core/report.h"
 #include "core/session.h"
+#include "sketch/distinct_estimator.h"
 #include "workload/generator.h"
 
 namespace ube {
@@ -185,6 +186,50 @@ TEST(EngineTest, CustomSimilarityMeasure) {
   ProblemSpec spec;
   spec.max_sources = 5;
   EXPECT_TRUE(engine.Solve(spec, SolverKind::kTabu, FastSolve()).ok());
+}
+
+// A programmatic universe whose source 3 carries an exact signature, or a
+// 32-bitmap PCSA sketch, among the workload's 64-bitmap PCSA signatures: no
+// union estimate can merge them.
+Universe MixedSignatureUniverse(bool exact) {
+  GeneratedWorkload w = GenerateWorkload(SmallConfig(20, 7));
+  std::unique_ptr<DistinctSignature> odd;
+  if (exact) {
+    odd = std::make_unique<ExactSignature>();
+  } else {
+    odd = std::make_unique<PcsaSignature>(32);
+  }
+  odd->Add(1);
+  w.universe.mutable_source(3)->set_signature(std::move(odd));
+  return std::move(w.universe);
+}
+
+// Every engine call that evaluates returns InvalidArgument, naming the
+// offending source, instead of aborting in a signature merge.
+TEST(EngineTest, MixedSignatureFormatsAreRejected) {
+  for (bool exact : {true, false}) {
+    SCOPED_TRACE(exact ? "exact among pcsa:64" : "pcsa:32 among pcsa:64");
+    Universe universe = MixedSignatureUniverse(exact);
+    const std::string name = universe.source(3).name();
+    Engine engine(std::move(universe), QualityModel::MakeDefault());
+    ProblemSpec spec;
+    spec.max_sources = 5;
+
+    Result<Solution> solution =
+        engine.Solve(spec, SolverKind::kTabu, FastSolve());
+    EXPECT_EQ(solution.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(solution.status().message().find(name), std::string::npos)
+        << solution.status();
+    Result<CandidateEvaluator::Evaluation> evaluation =
+        engine.EvaluateCandidate(spec, {0, 1, 2, 3});
+    EXPECT_EQ(evaluation.status().code(), StatusCode::kInvalidArgument);
+    Result<std::vector<SourceId>> seed =
+        engine.RepairSeed(spec, {0, 1, 2, 3}, RepairOptions{});
+    EXPECT_EQ(seed.status().code(), StatusCode::kInvalidArgument);
+    Result<ContinuousReport> report =
+        engine.RunContinuous(spec, ChurnTrace{}, ContinuousOptions{});
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 // ------------------------------- Session --------------------------------

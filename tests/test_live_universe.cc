@@ -95,7 +95,7 @@ TEST(ChurnFeedTest, NeverRemovesBelowMinAlive) {
 }
 
 // Declared-capacity guard: downstream structures (SearchState's
-// SourceBitset, the delta evaluator's per-source tables) size fixed-width
+// SourceBitset, the evaluator's per-source table) size fixed-width
 // state at universe build, so an add-event that would grow past the cap
 // must fail with a Status — leaving universe, graph and version untouched
 // — instead of minting an id those structures cannot index.

@@ -2,17 +2,20 @@
 // scoring must be bit-identical to a table-free recomputation — per QEF
 // and for the composite Q(S) — after ANY seeded flip sequence, including
 // add-then-remove round-trips and restart resets, across signature kinds
-// (exact and PCSA), degradation policies and uncooperative sources. The
-// ground truth is QualityModel::MakeContext + Evaluate(ctx, weights), which
-// recomputes every universe-wide aggregate and scores each QEF through
-// Qef::Evaluate, so it shares no table with the evaluator or the delta
-// path. The same ground truth checks CandidateEvaluator::Evaluate on the
-// paper's default model (F1 + data QEFs). A further property pins
+// (exact and PCSA), degradation policies, uncooperative sources, and
+// models with and without a matching QEF. The ground truth is Match (when
+// the model needs it) + QualityModel::MakeContext + Evaluate(ctx, weights),
+// which recomputes every universe-wide aggregate and scores each QEF
+// through Qef::Evaluate, so it shares no table with the evaluator or the
+// delta path. The same ground truth checks CandidateEvaluator::Evaluate on
+// the paper's default model (F1 + data QEFs). A further property pins
 // cache/counter parity: an identical candidate stream scored through the
-// delta path and through the full path must leave num_evaluations /
-// num_cache_hits identical, so eval budgets stop at the same point.
+// delta path (inline and on a thread pool) and through the full path must
+// leave num_evaluations / num_cache_hits identical, so eval budgets stop
+// at the same point.
 // Replayable via UBE_PROPERTY_SEED / UBE_PROPERTY_ITERS (see TESTING.md).
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -28,6 +31,7 @@
 #include "testkit/property.h"
 #include "text/similarity.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace ube {
 namespace {
@@ -35,9 +39,10 @@ namespace {
 using testkit::PropertyRunner;
 
 // One random instance: universe (optionally with degraded statistics and
-// uncooperative sources), matcher scaffolding, a matching-free model under
-// a random degradation policy, and a valid spec. Heap-allocated so the
-// reference web (evaluator → universe/matcher/model/spec) stays stable.
+// uncooperative sources), matcher, a model (with or without the matching
+// QEF) under a random degradation policy, and a valid spec. Heap-allocated
+// so the reference web (evaluator → universe/matcher/model/spec) stays
+// stable.
 struct Instance {
   Universe universe;
   std::unique_ptr<SimilarityGraph> graph;
@@ -77,14 +82,15 @@ Universe DegradedUniverse(Rng& rng, bool exact_signatures,
   return universe;
 }
 
-std::unique_ptr<Instance> MakeInstance(Rng& rng, bool exact_signatures) {
+std::unique_ptr<Instance> MakeInstance(Rng& rng, bool exact_signatures,
+                                       bool include_matching) {
   auto inst =
       std::make_unique<Instance>(DegradedUniverse(rng, exact_signatures));
   inst->graph = std::make_unique<SimilarityGraph>(
       inst->universe, MakeDefaultSimilarity(), 0.25);
   inst->matcher =
       std::make_unique<ClusterMatcher>(inst->universe, *inst->graph);
-  inst->model = testkit::GenerateModel(rng, /*include_matching=*/false);
+  inst->model = testkit::GenerateModel(rng, include_matching);
   DegradationOptions degradation;
   degradation.policy = kPolicies[rng.UniformInt(3)];
   inst->model.set_degradation(degradation);
@@ -94,11 +100,24 @@ std::unique_ptr<Instance> MakeInstance(Rng& rng, bool exact_signatures) {
   return inst;
 }
 
-// Ground truth without any precomputed table: the public context builder
-// and weighted sum, under the evaluator's effective weights.
+// Ground truth without any precomputed table: Match when the model needs
+// it, then the public context builder and weighted sum, under the
+// evaluator's effective weights.
 QualityBreakdown Reference(const Instance& inst,
                            const std::vector<SourceId>& candidate) {
-  EvalContext ctx = inst.model.MakeContext(inst.universe, candidate, nullptr);
+  std::optional<MatchResult> match;
+  if (inst.model.NeedsMatching()) {
+    MatchOptions options;
+    options.theta = inst.spec.theta;
+    options.beta = inst.spec.beta;
+    Result<MatchResult> result =
+        inst.matcher->Match(candidate, inst.spec.source_constraints,
+                            inst.spec.ga_constraints, options);
+    EXPECT_TRUE(result.ok()) << result.status();
+    if (result.ok()) match = std::move(result).value();
+  }
+  EvalContext ctx = inst.model.MakeContext(
+      inst.universe, candidate, match.has_value() ? &*match : nullptr);
   return inst.model.Evaluate(ctx, inst.evaluator->effective_weights());
 }
 
@@ -128,16 +147,17 @@ SearchState::Move Inverse(const SearchState::Move& move) {
 // round-trips and restart resets interleaved — the delta state must score
 // every neighbor bit-identically to a from-scratch full evaluation, per
 // QEF and composite. Odd cases use PCSA signatures (the prefix/suffix OR
-// fast path), even cases exact signatures (the generic merge fallback).
+// path), even cases exact signatures (the Clone+MergeFrom union); half of
+// each run the matching model, whose F1 reads the per-candidate Match.
 TEST(DeltaPropertyTest, FlipSequencesAreBitIdenticalToFullRecompute) {
   PropertyRunner runner("delta-flip-bit-identity", 40);
   for (int c = 0; c < runner.num_cases(); ++c) {
     SCOPED_TRACE(runner.Replay(c));
     Rng rng = runner.CaseRng(c);
-    std::unique_ptr<Instance> inst = MakeInstance(rng, c % 2 == 0);
+    std::unique_ptr<Instance> inst =
+        MakeInstance(rng, c % 2 == 0, /*include_matching=*/c % 4 >= 2);
     DeltaEvaluator delta(*inst->evaluator, true);
-    ASSERT_TRUE(delta.active())
-        << "matching-free model must support the delta path";
+    ASSERT_TRUE(delta.active());
 
     SearchState state(
         *inst->evaluator,
@@ -193,7 +213,7 @@ TEST(DeltaPropertyTest, FlipSequencesAreBitIdenticalToFullRecompute) {
 }
 
 // The full path's universe tables on the paper's default model (F1 + the
-// four data QEFs), where Match runs and the delta path stays off:
+// four data QEFs), where Match runs per candidate:
 // CandidateEvaluator::Evaluate must reproduce the table-free ground truth
 // (Match + MakeContext + Evaluate) per QEF and in Q(S), bit for bit, under
 // every degradation policy, with stale / partial / missing sources, and
@@ -254,25 +274,47 @@ TEST(DeltaPropertyTest, EvaluatorTablesMatchReferenceOnDefaultModel) {
 // a second, independent evaluator over the same instance must produce
 // identical score vectors AND identical num_evaluations / num_cache_hits
 // at every step. This is what makes max_evaluations budgets stop at the
-// same point with delta on or off.
+// same point with delta on or off. A third evaluator runs the same stream
+// through a delta path on a thread pool: per the pool rule the matching
+// cases (half of them) compute their misses concurrently, and must still
+// match the inline path bit for bit, counters included.
 TEST(DeltaPropertyTest, CacheAndCounterParityWithFullPath) {
   PropertyRunner runner("delta-counter-parity", 25);
+  ThreadPool pool(3);
   for (int c = 0; c < runner.num_cases(); ++c) {
     SCOPED_TRACE(runner.Replay(c));
     Rng rng = runner.CaseRng(c);
-    std::unique_ptr<Instance> inst = MakeInstance(rng, c % 2 == 0);
+    std::unique_ptr<Instance> inst =
+        MakeInstance(rng, c % 2 == 0, /*include_matching=*/c % 4 >= 2);
     CandidateEvaluator full_eval(inst->universe, *inst->matcher, inst->model,
                                  inst->spec);
+    CandidateEvaluator pooled_eval(inst->universe, *inst->matcher,
+                                   inst->model, inst->spec);
     DeltaEvaluator delta(*inst->evaluator, true);
+    DeltaEvaluator pooled(pooled_eval, true);
     ASSERT_TRUE(delta.active());
+    EXPECT_FALSE(DeltaEvaluator(full_eval, false).active());
     inst->evaluator->BeginRun();
     full_eval.BeginRun();
+    pooled_eval.BeginRun();
+    auto expect_counters_equal = [&](int round) {
+      EXPECT_EQ(inst->evaluator->num_evaluations(),
+                full_eval.num_evaluations())
+          << "round " << round;
+      EXPECT_EQ(inst->evaluator->num_cache_hits(), full_eval.num_cache_hits())
+          << "round " << round;
+      EXPECT_EQ(pooled_eval.num_evaluations(), full_eval.num_evaluations())
+          << "round " << round;
+      EXPECT_EQ(pooled_eval.num_cache_hits(), full_eval.num_cache_hits())
+          << "round " << round;
+    };
 
     SearchState state(
         *inst->evaluator,
         testkit::GenerateCandidate(rng, inst->universe, inst->spec));
-    EXPECT_EQ(delta.Quality(state.sources()),
-              full_eval.Quality(state.sources()));
+    const double start_quality = full_eval.Quality(state.sources());
+    EXPECT_EQ(delta.Quality(state.sources()), start_quality);
+    EXPECT_EQ(pooled.Quality(state.sources()), start_quality);
     for (int round = 0; round < 12; ++round) {
       std::vector<SearchState::Move> moves;
       std::vector<std::vector<SourceId>> neighbors;
@@ -291,16 +333,16 @@ TEST(DeltaPropertyTest, CacheAndCounterParityWithFullPath) {
       if (neighbors.empty()) break;
       std::vector<double> via_delta =
           delta.ScoreNeighborhood(state.sources(), moves, neighbors, nullptr);
+      std::vector<double> via_pool =
+          pooled.ScoreNeighborhood(state.sources(), moves, neighbors, &pool);
       std::vector<double> via_full = full_eval.QualityBatch(neighbors);
       ASSERT_EQ(via_delta.size(), via_full.size());
+      ASSERT_EQ(via_pool.size(), via_full.size());
       for (size_t i = 0; i < via_delta.size(); ++i) {
         EXPECT_EQ(via_delta[i], via_full[i]) << "round " << round;
+        EXPECT_EQ(via_pool[i], via_full[i]) << "round " << round;
       }
-      EXPECT_EQ(inst->evaluator->num_evaluations(),
-                full_eval.num_evaluations())
-          << "round " << round;
-      EXPECT_EQ(inst->evaluator->num_cache_hits(), full_eval.num_cache_hits())
-          << "round " << round;
+      expect_counters_equal(round);
       state.Commit(moves[static_cast<size_t>(
           rng.UniformInt(static_cast<uint64_t>(moves.size())))]);
 
@@ -311,45 +353,14 @@ TEST(DeltaPropertyTest, CacheAndCounterParityWithFullPath) {
             testkit::GenerateCandidate(rng, inst->universe, inst->spec));
       }
       std::vector<double> arb_delta = delta.ScoreCandidates(arbitrary, nullptr);
+      std::vector<double> arb_pool = pooled.ScoreCandidates(arbitrary, &pool);
       std::vector<double> arb_full = full_eval.QualityBatch(arbitrary);
       for (size_t i = 0; i < arbitrary.size(); ++i) {
         EXPECT_EQ(arb_delta[i], arb_full[i]) << "round " << round;
+        EXPECT_EQ(arb_pool[i], arb_full[i]) << "round " << round;
       }
-      EXPECT_EQ(inst->evaluator->num_evaluations(),
-                full_eval.num_evaluations());
-      EXPECT_EQ(inst->evaluator->num_cache_hits(), full_eval.num_cache_hits());
+      expect_counters_equal(round);
     }
-  }
-}
-
-// Whole-model fallback: a model with a matching QEF cannot delta-evaluate,
-// so the wrapper must go inactive and forward verbatim — identical
-// qualities and counters to calling the evaluator directly.
-TEST(DeltaPropertyTest, MatchingModelFallsBackToFullPath) {
-  PropertyRunner runner("delta-matching-fallback", 10);
-  for (int c = 0; c < runner.num_cases(); ++c) {
-    SCOPED_TRACE(runner.Replay(c));
-    Rng rng = runner.CaseRng(c);
-    testkit::UniverseGenOptions gen;
-    auto inst = std::make_unique<Instance>(testkit::GenerateUniverse(rng, gen));
-    inst->graph = std::make_unique<SimilarityGraph>(
-        inst->universe, MakeDefaultSimilarity(), 0.25);
-    inst->matcher =
-        std::make_unique<ClusterMatcher>(inst->universe, *inst->graph);
-    inst->model = testkit::GenerateModel(rng, /*include_matching=*/true);
-    inst->spec = testkit::GenerateSpec(rng, inst->universe);
-    inst->evaluator = std::make_unique<CandidateEvaluator>(
-        inst->universe, *inst->matcher, inst->model, inst->spec);
-
-    DeltaEvaluator delta(*inst->evaluator, true);
-    EXPECT_FALSE(delta.active());
-    std::vector<SourceId> candidate =
-        testkit::GenerateCandidate(rng, inst->universe, inst->spec);
-    EXPECT_EQ(delta.Quality(candidate), inst->evaluator->Quality(candidate));
-
-    // The explicit off switch also forces forwarding mode.
-    DeltaEvaluator disabled(*inst->evaluator, false);
-    EXPECT_FALSE(disabled.active());
   }
 }
 

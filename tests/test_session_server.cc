@@ -17,6 +17,7 @@
 
 #include "core/session_server.h"
 #include "obs/obs.h"
+#include "sketch/distinct_estimator.h"
 #include "util/thread_pool.h"
 #include "workload/generator.h"
 
@@ -362,6 +363,33 @@ std::vector<Solution> DriveSession(Session* session, int session_index) {
 // sequentially on a fresh server — every session's whole history must come
 // back byte-identical. Under TSan this also proves the engine snapshot,
 // the shared cache and the metrics path are race-free.
+// A server over a universe that mixes signature formats (source 3 carries
+// an exact signature, or a 32-bitmap PCSA sketch, among 64-bitmap ones)
+// constructs without priming the unmergeable unions, and a session's
+// Iterate returns InvalidArgument instead of aborting.
+TEST(SessionServerTest, MixedSignatureFormatsFailIterateCleanly) {
+  for (bool exact : {true, false}) {
+    SCOPED_TRACE(exact ? "exact among pcsa:64" : "pcsa:32 among pcsa:64");
+    GeneratedWorkload w = GenerateWorkload(SmallConfig(20, 7));
+    std::unique_ptr<DistinctSignature> odd;
+    if (exact) {
+      odd = std::make_unique<ExactSignature>();
+    } else {
+      odd = std::make_unique<PcsaSignature>(32);
+    }
+    odd->Add(1);
+    w.universe.mutable_source(3)->set_signature(std::move(odd));
+    SessionServer server(
+        Engine(std::move(w.universe), QualityModel::MakeDefault()),
+        FastServerOptions());
+    Session* session = server.Open().second;
+    session->SetMaxSources(5);
+    Result<Solution> solution = session->Iterate();
+    EXPECT_EQ(solution.status().code(), StatusCode::kInvalidArgument)
+        << solution.status();
+  }
+}
+
 TEST(SessionServerTest, ConcurrentSessionsReplayDeterministically) {
   constexpr int kSessions = 8;
 

@@ -222,8 +222,8 @@ TEST_P(SolverFixtureTest, TimeLimitStopsDeterministicallyUnderManualClock) {
 // and for both the sequential and the hardware-concurrency thread count,
 // the incremental delta path must return a Solution byte-identical to the
 // full path — sources, quality bits, counters and trace. Run on the
-// matching-free model (where delta is genuinely active) and on the default
-// matching model (where it must silently fall back).
+// matching-free model (misses computed inline) and on the default matching
+// model (Match per miss, misses on the pool when threads > 1).
 TEST_P(SolverFixtureTest, DeltaMatchesFullPathBitIdentically) {
   const SolverKind kind = GetParam();
   const testkit::GoldenSmallUniverse& golden = Golden();
