@@ -1,15 +1,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "optimize/search_state.h"
 #include "optimize/solver_internal.h"
 #include "optimize/solvers.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace ube {
 
@@ -30,23 +27,18 @@ constexpr int kProposalBlock = 8;
 Result<Solution> AnnealingSolver::Solve(const CandidateEvaluator& evaluator,
                                         const SolverOptions& options) const {
   UBE_RETURN_IF_ERROR(internal::CheckSolvable(evaluator));
-  WallTimer timer(options.clock);
-  evaluator.BeginRun();
-  internal::SolveScope scope(evaluator, options, name());
+  internal::SolveScope run(evaluator, options, name());
   Rng rng(options.seed);
-  std::unique_ptr<ThreadPool> pool = internal::MakeEvalPool(options);
-  DeltaEvaluator scorer(evaluator, options.delta_eval);
 
   // Warm start: anneal from the (sanitized) seed instead of a random draw.
   // Checked before any rng use (cold fallback bit-identity).
   std::vector<SourceId> warm = internal::ValidWarmStart(evaluator, options);
   SearchState state = warm.empty() ? SearchState(evaluator, rng)
                                    : SearchState(evaluator, std::move(warm));
-  double current = scorer.Quality(state.sources());
+  double current = run.delta().Quality(state.sources());
   std::vector<SourceId> best = state.sources();
   double best_quality = current;
-  std::vector<TracePoint> trace;
-  internal::MaybeTrace(options.record_trace, evaluator, best_quality, &trace);
+  run.Improved(best_quality);
 
   double temperature = std::max(1e-9, options.initial_temperature);
   const double cooling = std::clamp(options.cooling_rate, 0.5, 0.999999);
@@ -68,7 +60,7 @@ Result<Solution> AnnealingSolver::Solve(const CandidateEvaluator& evaluator,
   StopReason stop = StopReason::kMaxIterations;
   while (iterations < budget && !exhausted) {
     // Pre-dispatch deadline check (post-batch check at the bottom).
-    if (internal::BudgetExpired(timer, evaluator, options, &stop)) {
+    if (run.Expired(&stop)) {
       break;
     }
     if (stall_budget > 0 && stall >= stall_budget) {
@@ -93,8 +85,8 @@ Result<Solution> AnnealingSolver::Solve(const CandidateEvaluator& evaluator,
       stop = StopReason::kExhausted;
       break;
     }
-    std::vector<double> qualities = scorer.ScoreNeighborhood(
-        state.sources(), moves, candidates, pool.get());
+    std::vector<double> qualities = run.delta().ScoreNeighborhood(
+        state.sources(), moves, candidates, run.pool());
 
     for (size_t k = 0; k < moves.size(); ++k) {
       ++iterations;
@@ -115,8 +107,7 @@ Result<Solution> AnnealingSolver::Solve(const CandidateEvaluator& evaluator,
       if (current > best_quality) {
         best_quality = current;
         best = state.sources();
-        internal::MaybeTrace(options.record_trace, evaluator, best_quality,
-                             &trace);
+        run.Improved(best_quality);
         stall = 0;
       } else {
         ++stall;
@@ -125,20 +116,19 @@ Result<Solution> AnnealingSolver::Solve(const CandidateEvaluator& evaluator,
       // drop them and draft a fresh block from the new state.
       break;
     }
-    if (scope.enabled()) {
+    if (run.observed()) {
       obs::IterationSample sample;
       sample.iteration = iterations;
-      sample.evaluations = evaluator.num_evaluations();
       sample.incumbent_quality = best_quality;
       sample.neighborhood = static_cast<int32_t>(candidates.size());
       sample.temperature = temperature;
       sample.stall = static_cast<int32_t>(
           std::min<int64_t>(stall, std::numeric_limits<int32_t>::max()));
-      scope.RecordIteration(sample);
+      run.Record(sample);
     }
     // Post-batch deadline check: the block already ran and its accepted
     // move is committed; stop before drafting another one.
-    if (internal::BudgetExpired(timer, evaluator, options, &stop)) {
+    if (run.Expired(&stop)) {
       break;
     }
   }
@@ -146,9 +136,7 @@ Result<Solution> AnnealingSolver::Solve(const CandidateEvaluator& evaluator,
   // regardless of which budget also happened to run out.
   if (exhausted) stop = StopReason::kExhausted;
 
-  return internal::FinalizeSolution(evaluator, std::move(best),
-                                    std::string(name()), iterations, timer,
-                                    stop, std::move(trace), &scope);
+  return run.Finish(std::move(best), iterations, stop);
 }
 
 }  // namespace ube

@@ -3,7 +3,6 @@
 
 #include "optimize/solver_internal.h"
 #include "optimize/solvers.h"
-#include "util/timer.h"
 
 namespace ube {
 
@@ -31,10 +30,7 @@ int64_t CountCandidates(int pool, int slots) {
 Result<Solution> ExhaustiveSolver::Solve(const CandidateEvaluator& evaluator,
                                          const SolverOptions& options) const {
   UBE_RETURN_IF_ERROR(internal::CheckSolvable(evaluator));
-  WallTimer timer(options.clock);
-  evaluator.BeginRun();
-  internal::SolveScope scope(evaluator, options, name());
-  DeltaEvaluator delta(evaluator, options.delta_eval);
+  internal::SolveScope run(evaluator, options, name());
 
   const int n = evaluator.universe().num_sources();
   const int m = evaluator.spec().max_sources;
@@ -63,7 +59,7 @@ Result<Solution> ExhaustiveSolver::Solve(const CandidateEvaluator& evaluator,
   // the seed initializes the incumbent.
   std::vector<SourceId> warm = internal::ValidWarmStart(evaluator, options);
   if (!warm.empty()) {
-    best_quality = delta.Quality(warm);
+    best_quality = run.delta().Quality(warm);
     best = std::move(warm);
   }
 
@@ -75,18 +71,17 @@ Result<Solution> ExhaustiveSolver::Solve(const CandidateEvaluator& evaluator,
     std::sort(candidate.begin(), candidate.end());
     if (candidate.empty()) return;  // |S| >= 1 required
     ++iterations;
-    double quality = delta.Quality(candidate);
+    double quality = run.delta().Quality(candidate);
     if (quality > best_quality) {
       best_quality = quality;
       best = std::move(candidate);
     }
-    if (scope.enabled()) {
+    if (run.observed()) {
       obs::IterationSample sample;
       sample.iteration = iterations;
-      sample.evaluations = evaluator.num_evaluations();
       sample.incumbent_quality = best_quality;
       sample.neighborhood = 1;
-      scope.RecordIteration(sample);
+      run.Record(sample);
     }
   };
 
@@ -100,7 +95,7 @@ Result<Solution> ExhaustiveSolver::Solve(const CandidateEvaluator& evaluator,
     // Exact enumeration is the slowest solver per instance, so it honors
     // the wall-clock budget too (it used to ignore it entirely); a cut
     // enumeration returns the best candidate seen so far.
-    if (internal::BudgetExpired(timer, evaluator, options, &stop)) {
+    if (run.Expired(&stop)) {
       break;
     }
     if (static_cast<int>(stack.size()) < slots && next < pool.size()) {
@@ -125,9 +120,7 @@ Result<Solution> ExhaustiveSolver::Solve(const CandidateEvaluator& evaluator,
   if (best.empty()) {
     return Status::Infeasible("no feasible candidate exists");
   }
-  return internal::FinalizeSolution(evaluator, std::move(best),
-                                    std::string(name()), iterations, timer,
-                                    stop, {}, &scope);
+  return run.Finish(std::move(best), iterations, stop);
 }
 
 }  // namespace ube

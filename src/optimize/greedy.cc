@@ -1,14 +1,10 @@
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "optimize/search_state.h"
 #include "optimize/solver_internal.h"
 #include "optimize/solvers.h"
 #include "util/check.h"
-#include "util/rng.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace ube {
 
@@ -21,11 +17,7 @@ constexpr double kEps = 1e-12;
 Result<Solution> GreedySolver::Solve(const CandidateEvaluator& evaluator,
                                      const SolverOptions& options) const {
   UBE_RETURN_IF_ERROR(internal::CheckSolvable(evaluator));
-  WallTimer timer(options.clock);
-  evaluator.BeginRun();
-  internal::SolveScope scope(evaluator, options, name());
-  std::unique_ptr<ThreadPool> pool = internal::MakeEvalPool(options);
-  DeltaEvaluator delta(evaluator, options.delta_eval);
+  internal::SolveScope run(evaluator, options, name());
 
   const int n = evaluator.universe().num_sources();
   const int m = evaluator.spec().max_sources;
@@ -41,14 +33,13 @@ Result<Solution> GreedySolver::Solve(const CandidateEvaluator& evaluator,
   }
 
   int64_t iterations = 0;
-  std::vector<TracePoint> trace;
 
   // Warm start: greedy construction is deterministic and can land below a
   // good incumbent, so score the seed up front and return whichever of
   // (seed, constructed) is better — never worse than the seed.
   std::vector<SourceId> warm = internal::ValidWarmStart(evaluator, options);
   double warm_quality = -1.0;
-  if (!warm.empty()) warm_quality = delta.Quality(warm);
+  if (!warm.empty()) warm_quality = run.delta().Quality(warm);
 
   // Seed: if no constraints, start from the best single source. All the
   // singletons are scored as one batch; ties keep the lowest id, as the
@@ -62,7 +53,7 @@ Result<Solution> GreedySolver::Solve(const CandidateEvaluator& evaluator,
       candidates.push_back({s});
     }
     std::vector<double> qualities =
-        delta.ScoreCandidates(candidates, pool.get());
+        run.delta().ScoreCandidates(candidates, run.pool());
     SourceId best_seed = -1;
     double best_quality = -1.0;
     for (size_t i = 0; i < seeds.size(); ++i) {
@@ -75,7 +66,7 @@ Result<Solution> GreedySolver::Solve(const CandidateEvaluator& evaluator,
     current.push_back(best_seed);
     member[static_cast<size_t>(best_seed)] = 1;
   }
-  double current_quality = delta.Quality(current);
+  double current_quality = run.delta().Quality(current);
 
   // Greedy augmentation: always add the best marginal source. Additions are
   // accepted even when the marginal gain is non-positive as long as *some*
@@ -88,7 +79,7 @@ Result<Solution> GreedySolver::Solve(const CandidateEvaluator& evaluator,
   while (static_cast<int>(current.size()) < m) {
     ++iterations;
     // Pre-dispatch deadline check (post-batch check at the bottom).
-    if (internal::BudgetExpired(timer, evaluator, options, &stop)) {
+    if (run.Expired(&stop)) {
       break;
     }
     // Score every feasible one-source extension as a single batch, then
@@ -108,8 +99,8 @@ Result<Solution> GreedySolver::Solve(const CandidateEvaluator& evaluator,
           SearchState::Move{SearchState::Move::Kind::kAdd, s, -1});
       candidates.push_back(std::move(candidate));
     }
-    std::vector<double> qualities =
-        delta.ScoreNeighborhood(current, moves, candidates, pool.get());
+    std::vector<double> qualities = run.delta().ScoreNeighborhood(
+        current, moves, candidates, run.pool());
     bool found = false;
     SourceId best_add = -1;
     double best_quality = current_quality;
@@ -126,22 +117,20 @@ Result<Solution> GreedySolver::Solve(const CandidateEvaluator& evaluator,
           best_add);
       member[static_cast<size_t>(best_add)] = 1;
       current_quality = best_quality;
-      internal::MaybeTrace(options.record_trace, evaluator, current_quality,
-                           &trace);
+      run.Improved(current_quality);
     }
-    if (scope.enabled()) {
+    if (run.observed()) {
       obs::IterationSample sample;
       sample.iteration = iterations;
-      sample.evaluations = evaluator.num_evaluations();
       sample.incumbent_quality = current_quality;
       sample.neighborhood = static_cast<int32_t>(candidates.size());
-      scope.RecordIteration(sample);
+      run.Record(sample);
     }
     if (!found) break;  // construction converged — the true stop cause even
                         // if the clock also just ran out
     // Post-batch deadline check: fold the extension we just paid for, then
     // stop before scoring another round.
-    if (internal::BudgetExpired(timer, evaluator, options, &stop)) {
+    if (run.Expired(&stop)) {
       break;
     }
   }
@@ -149,9 +138,7 @@ Result<Solution> GreedySolver::Solve(const CandidateEvaluator& evaluator,
   if (!warm.empty() && warm_quality > current_quality) {
     current = std::move(warm);
   }
-  return internal::FinalizeSolution(evaluator, std::move(current),
-                                    std::string(name()), iterations, timer,
-                                    stop, std::move(trace), &scope);
+  return run.Finish(std::move(current), iterations, stop);
 }
 
 }  // namespace ube

@@ -1,14 +1,11 @@
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <vector>
 
 #include "optimize/search_state.h"
 #include "optimize/solver_internal.h"
 #include "optimize/solvers.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace ube {
 
@@ -76,12 +73,8 @@ struct Particle {
 Result<Solution> PsoSolver::Solve(const CandidateEvaluator& evaluator,
                                   const SolverOptions& options) const {
   UBE_RETURN_IF_ERROR(internal::CheckSolvable(evaluator));
-  WallTimer timer(options.clock);
-  evaluator.BeginRun();
-  internal::SolveScope scope(evaluator, options, name());
+  internal::SolveScope run(evaluator, options, name());
   Rng rng(options.seed);
-  std::unique_ptr<ThreadPool> pool = internal::MakeEvalPool(options);
-  DeltaEvaluator delta(evaluator, options.delta_eval);
 
   const int n = evaluator.universe().num_sources();
   const int m = evaluator.spec().max_sources;
@@ -99,7 +92,6 @@ Result<Solution> PsoSolver::Solve(const CandidateEvaluator& evaluator,
   std::vector<char> global_best_bits(static_cast<size_t>(n), 0);
   std::vector<SourceId> global_best;
   double global_best_quality = -1.0;
-  std::vector<TracePoint> trace;
 
   // Draft the whole swarm first (all rng draws happen here, in particle
   // order), score every position in one batch, then fold the personal and
@@ -128,7 +120,8 @@ Result<Solution> PsoSolver::Solve(const CandidateEvaluator& evaluator,
     p.position = warm;
     positions.front() = std::move(warm);
   }
-  std::vector<double> qualities = delta.ScoreCandidates(positions, pool.get());
+  std::vector<double> qualities =
+      run.delta().ScoreCandidates(positions, run.pool());
   for (size_t i = 0; i < swarm.size(); ++i) {
     Particle& p = swarm[i];
     double quality = qualities[i];
@@ -139,8 +132,7 @@ Result<Solution> PsoSolver::Solve(const CandidateEvaluator& evaluator,
       global_best_quality = quality;
       global_best = p.position;
       global_best_bits = p.bits;
-      internal::MaybeTrace(options.record_trace, evaluator,
-                           global_best_quality, &trace);
+      run.Improved(global_best_quality);
     }
   }
 
@@ -159,7 +151,7 @@ Result<Solution> PsoSolver::Solve(const CandidateEvaluator& evaluator,
 
   for (int iter = 0; iter < pso_iterations; ++iter) {
     // Pre-dispatch deadline check (post-batch check at the bottom).
-    if (internal::BudgetExpired(timer, evaluator, options, &stop)) {
+    if (run.Expired(&stop)) {
       break;
     }
     if (pso_stall > 0 && stall >= pso_stall) {
@@ -191,7 +183,7 @@ Result<Solution> PsoSolver::Solve(const CandidateEvaluator& evaluator,
       p.position = Repair(p.bits, p.velocity, required, banned, m);
       positions.push_back(p.position);
     }
-    qualities = delta.ScoreCandidates(positions, pool.get());
+    qualities = run.delta().ScoreCandidates(positions, run.pool());
     for (size_t i = 0; i < swarm.size(); ++i) {
       Particle& p = swarm[i];
       double quality = qualities[i];
@@ -204,8 +196,7 @@ Result<Solution> PsoSolver::Solve(const CandidateEvaluator& evaluator,
         global_best_quality = quality;
         global_best = p.position;
         global_best_bits = p.bits;
-        internal::MaybeTrace(options.record_trace, evaluator,
-                             global_best_quality, &trace);
+        run.Improved(global_best_quality);
         improved = true;
       }
     }
@@ -214,25 +205,22 @@ Result<Solution> PsoSolver::Solve(const CandidateEvaluator& evaluator,
     } else {
       ++stall;
     }
-    if (scope.enabled()) {
+    if (run.observed()) {
       obs::IterationSample sample;
       sample.iteration = iterations;
-      sample.evaluations = evaluator.num_evaluations();
       sample.incumbent_quality = global_best_quality;
       sample.neighborhood = static_cast<int32_t>(positions.size());
       sample.stall = stall;
-      scope.RecordIteration(sample);
+      run.Record(sample);
     }
     // Post-batch deadline check: this swarm step already ran and its bests
     // are folded in; stop before scoring another one.
-    if (internal::BudgetExpired(timer, evaluator, options, &stop)) {
+    if (run.Expired(&stop)) {
       break;
     }
   }
 
-  return internal::FinalizeSolution(evaluator, std::move(global_best),
-                                    std::string(name()), iterations, timer,
-                                    stop, std::move(trace), &scope);
+  return run.Finish(std::move(global_best), iterations, stop);
 }
 
 }  // namespace ube

@@ -1,24 +1,19 @@
 #include "optimize/repair.h"
 
 #include <algorithm>
-#include <memory>
-#include <string>
 #include <utility>
 
 #include "optimize/search_state.h"
 #include "optimize/solver.h"
 #include "optimize/solver_internal.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace ube {
 
 namespace {
 
-constexpr double kEps = 1e-12;
-
-/// SolverOptions view of the repair knobs, so SolveScope / BudgetExpired /
-/// MakeEvalPool behave exactly as they do for full solvers.
+/// SolverOptions view of the repair knobs, so the run's budgets, pool and
+/// observability behave exactly as they do for full solvers.
 SolverOptions AsSolverOptions(const RepairOptions& options) {
   SolverOptions solver;
   solver.seed = options.seed;
@@ -122,85 +117,19 @@ RepairResult RepairIncumbent(const CandidateEvaluator& evaluator,
   result.seeded = true;
 
   const SolverOptions solver_options = AsSolverOptions(options);
-  WallTimer timer(solver_options.clock);
-  evaluator.BeginRun();
-  internal::SolveScope scope(evaluator, solver_options, "repair");
+  internal::SolveScope run(evaluator, solver_options, "repair");
   Rng rng(solver_options.seed);
-  std::unique_ptr<ThreadPool> pool = internal::MakeEvalPool(solver_options);
-  DeltaEvaluator delta(evaluator, solver_options.delta_eval);
-
   SearchState state(evaluator, damaged);
-  double current = delta.Quality(state.sources());
-  result.seed_quality = current;
+  result.seed_quality = run.delta().Quality(state.sources());
   std::vector<SourceId> best = state.sources();
-  double best_quality = current;
+  double best_quality = result.seed_quality;
   int64_t iterations = 0;
-  StopReason stop = StopReason::kMaxIterations;
-
-  const int sample = solver_options.candidate_moves > 0
-                         ? solver_options.candidate_moves
-                         : std::min(64, std::max(24, n / 8));
-  for (int iter = 0; iter < std::max(1, solver_options.max_iterations);
-       ++iter) {
-    // Pre-dispatch budget check (post-batch check below); the seed is
-    // already an incumbent, so unlike full solvers no first-pass guard is
-    // needed.
-    if (internal::BudgetExpired(timer, evaluator, solver_options, &stop)) {
-      break;
-    }
-    ++iterations;
-    std::vector<SearchState::Move> moves;
-    std::vector<std::vector<SourceId>> candidates;
-    for (int k = 0; k < sample; ++k) {
-      SearchState::Move move;
-      if (!state.RandomMove(rng, &move)) break;
-      moves.push_back(move);
-      candidates.push_back(state.Apply(move));
-    }
-    if (moves.empty()) {
-      stop = StopReason::kExhausted;
-      break;
-    }
-    std::vector<double> qualities =
-        delta.ScoreNeighborhood(state.sources(), moves, candidates, pool.get());
-    bool improved = false;
-    SearchState::Move chosen;
-    double chosen_quality = current;
-    for (size_t k = 0; k < moves.size(); ++k) {
-      if (qualities[k] > chosen_quality + kEps) {
-        improved = true;
-        chosen = moves[k];
-        chosen_quality = qualities[k];
-      }
-    }
-    if (improved) {
-      state.Commit(chosen);
-      current = chosen_quality;
-      if (current > best_quality) {
-        best_quality = current;
-        best = state.sources();
-      }
-    }
-    if (scope.enabled()) {
-      obs::IterationSample sample_point;
-      sample_point.iteration = iterations;
-      sample_point.evaluations = evaluator.num_evaluations();
-      sample_point.incumbent_quality = best_quality;
-      sample_point.neighborhood = static_cast<int32_t>(candidates.size());
-      scope.RecordIteration(sample_point);
-    }
-    if (internal::BudgetExpired(timer, evaluator, solver_options, &stop)) {
-      break;
-    }
-    if (!improved) {
-      stop = StopReason::kConverged;
-      break;
-    }
-  }
-
-  result.solution =
-      internal::FinalizeSolution(evaluator, std::move(best), "repair",
-                                 iterations, timer, stop, {}, &scope);
+  // The seed is already an incumbent, so unlike a full solver the climb
+  // needs no first-pass guard against an early budget stop.
+  StopReason stop =
+      internal::Climb(&run, rng, solver_options.max_iterations, &state,
+                      result.seed_quality, &best, &best_quality, &iterations);
+  result.solution = run.Finish(std::move(best), iterations, stop);
   return result;
 }
 

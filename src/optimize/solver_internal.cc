@@ -1,14 +1,27 @@
 #include "optimize/solver_internal.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 namespace ube::internal {
 
+namespace {
+
+constexpr double kEps = 1e-12;
+
+}  // namespace
+
 SolveScope::SolveScope(const CandidateEvaluator& evaluator,
                        const SolverOptions& options,
                        std::string_view solver_name)
-    : evaluator_(evaluator), obs_(options.obs) {
+    : timer_(options.clock),
+      evaluator_(evaluator),
+      options_(options),
+      name_(solver_name),
+      obs_(options.obs),
+      delta_(evaluator, options.delta_eval) {
+  evaluator_.BeginRun();
   if (obs_ == nullptr) return;
   evaluator_.AttachObs(obs_);
   ring_ = std::make_unique<obs::TelemetryRing>(
@@ -23,23 +36,45 @@ SolveScope::~SolveScope() {
   evaluator_.DetachObs();
 }
 
-void SolveScope::Export(SolverStats* stats) {
-  if (obs_ == nullptr) return;
-  stats->telemetry = ring_->Samples();
-  stats->telemetry_dropped = ring_->dropped();
-  obs_->metrics().Add(obs_->metrics().Counter(
-      std::string("solver.stop.") +
-      std::string(StopReasonName(stats->stop_reason))));
-  stats->metrics = std::make_shared<const obs::MetricsSnapshot>(
-      obs_->metrics().Snapshot());
+ThreadPool* SolveScope::pool() {
+  if (!pool_built_) {
+    pool_built_ = true;
+    int threads = options_.num_threads == 0
+                      ? ThreadPool::HardwareConcurrency()
+                      : options_.num_threads;
+    if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
+  }
+  return pool_.get();
 }
 
-Solution FinalizeSolution(const CandidateEvaluator& evaluator,
-                          std::vector<SourceId> best, std::string solver_name,
-                          int64_t iterations, const WallTimer& timer,
-                          StopReason stop_reason,
-                          std::vector<TracePoint> trace, SolveScope* scope) {
-  CandidateEvaluator::Evaluation eval = evaluator.Evaluate(best);
+bool SolveScope::Expired(StopReason* stop) const {
+  if (options_.time_limit_seconds > 0.0 &&
+      timer_.ElapsedSeconds() >= options_.time_limit_seconds) {
+    *stop = StopReason::kTimeLimit;
+    return true;
+  }
+  if (options_.max_evaluations > 0 &&
+      evaluator_.num_evaluations() >= options_.max_evaluations) {
+    *stop = StopReason::kEvalBudget;
+    return true;
+  }
+  return false;
+}
+
+void SolveScope::Improved(double best_quality) {
+  if (!options_.record_trace) return;
+  trace_.push_back(TracePoint{evaluator_.num_evaluations(), best_quality});
+}
+
+void SolveScope::Record(obs::IterationSample sample) {
+  if (ring_ == nullptr) return;
+  sample.evaluations = evaluator_.num_evaluations();
+  ring_->Record(sample);
+}
+
+Solution SolveScope::Finish(std::vector<SourceId> best, int64_t iterations,
+                            StopReason stop) {
+  CandidateEvaluator::Evaluation eval = evaluator_.Evaluate(best);
   Solution solution;
   solution.sources = std::move(best);
   solution.mediated_schema = std::move(eval.match.schema);
@@ -47,15 +82,89 @@ Solution FinalizeSolution(const CandidateEvaluator& evaluator,
   solution.ga_from_constraint = std::move(eval.match.ga_from_constraint);
   solution.quality = eval.quality;
   solution.breakdown = std::move(eval.breakdown);
-  solution.stats.solver_name = std::move(solver_name);
-  solution.stats.iterations = iterations;
-  solution.stats.evaluations = evaluator.num_evaluations();
-  solution.stats.cache_hits = evaluator.num_cache_hits();
-  solution.stats.elapsed_seconds = timer.ElapsedSeconds();
-  solution.stats.stop_reason = stop_reason;
-  solution.stats.trace = std::move(trace);
-  if (scope != nullptr) scope->Export(&solution.stats);
+  SolverStats& stats = solution.stats;
+  stats.solver_name = std::string(name_);
+  stats.iterations = iterations;
+  stats.evaluations = evaluator_.num_evaluations();
+  stats.cache_hits = evaluator_.num_cache_hits();
+  stats.elapsed_seconds = timer_.ElapsedSeconds();
+  stats.stop_reason = stop;
+  stats.trace = std::move(trace_);
+  if (obs_ == nullptr) return solution;
+  stats.telemetry = ring_->Samples();
+  stats.telemetry_dropped = ring_->dropped();
+  obs_->metrics().Add(obs_->metrics().Counter(
+      std::string("solver.stop.") + std::string(StopReasonName(stop))));
+  stats.metrics = std::make_shared<const obs::MetricsSnapshot>(
+      obs_->metrics().Snapshot());
   return solution;
+}
+
+int MovesPerIteration(const SolverOptions& options, int num_sources) {
+  return options.candidate_moves > 0
+             ? options.candidate_moves
+             : std::min(64, std::max(24, num_sources / 8));
+}
+
+StopReason Climb(SolveScope* run, Rng& rng, int max_iterations,
+                 SearchState* state, double quality,
+                 std::vector<SourceId>* best, double* best_quality,
+                 int64_t* iterations) {
+  const int sample = MovesPerIteration(
+      run->options(), run->evaluator().universe().num_sources());
+  StopReason stop = StopReason::kMaxIterations;
+  std::vector<SearchState::Move> moves;
+  std::vector<std::vector<SourceId>> candidates;
+  for (int iter = 0; iter < std::max(1, max_iterations); ++iter) {
+    // Pre-dispatch budget check (post-batch check below).
+    if (run->Expired(&stop)) return stop;
+    ++*iterations;
+    // Sample the neighborhood up front and score it as one batch; the
+    // selection below takes the best improving move in index order over
+    // the precomputed qualities, so any thread count gives the same walk.
+    moves.clear();
+    candidates.clear();
+    for (int k = 0; k < sample; ++k) {
+      SearchState::Move move;
+      if (!state->RandomMove(rng, &move)) break;
+      moves.push_back(move);
+      candidates.push_back(state->Apply(move));
+    }
+    if (moves.empty()) return StopReason::kExhausted;
+    std::vector<double> qualities = run->delta().ScoreNeighborhood(
+        state->sources(), moves, candidates, run->pool());
+    bool improved = false;
+    SearchState::Move chosen;
+    double chosen_quality = quality;
+    for (size_t k = 0; k < moves.size(); ++k) {
+      if (qualities[k] > chosen_quality + kEps) {
+        improved = true;
+        chosen = moves[k];
+        chosen_quality = qualities[k];
+      }
+    }
+    if (improved) {
+      state->Commit(chosen);
+      quality = chosen_quality;
+      if (quality > *best_quality) {
+        *best_quality = quality;
+        *best = state->sources();
+        run->Improved(quality);
+      }
+    }
+    if (run->observed()) {
+      obs::IterationSample point;
+      point.iteration = *iterations;
+      point.incumbent_quality = *best_quality;
+      point.neighborhood = static_cast<int32_t>(candidates.size());
+      run->Record(point);
+    }
+    // Post-batch budget check: the batch already ran, so fold its result
+    // (above) but do not dispatch another one past the budget.
+    if (run->Expired(&stop)) return stop;
+    if (!improved) return StopReason::kConverged;
+  }
+  return stop;
 }
 
 Status CheckSolvable(const CandidateEvaluator& evaluator) {
@@ -82,13 +191,6 @@ std::vector<SourceId> ValidWarmStart(const CandidateEvaluator& evaluator,
   }
   if (static_cast<int>(seed.size()) > evaluator.spec().max_sources) return {};
   return seed;
-}
-
-std::unique_ptr<ThreadPool> MakeEvalPool(const SolverOptions& options) {
-  int threads = options.num_threads == 0 ? ThreadPool::HardwareConcurrency()
-                                         : options.num_threads;
-  if (threads <= 1) return nullptr;
-  return std::make_unique<ThreadPool>(threads);
 }
 
 }  // namespace ube::internal

@@ -2,7 +2,6 @@
 #define UBE_OPTIMIZE_SOLVER_INTERNAL_H_
 
 #include <memory>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -10,20 +9,24 @@
 #include "optimize/delta_evaluator.h"
 #include "optimize/evaluator.h"
 #include "optimize/problem.h"
+#include "optimize/search_state.h"
 #include "optimize/solver.h"
 #include "util/result.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace ube::internal {
 
-/// Per-solve observability scope shared by every solver. Construction
-/// attaches SolverOptions::obs to the evaluator, opens a "solve/<name>"
-/// span and allocates the telemetry ring; destruction detaches. When
-/// options.obs is null (the default) every member is a cheap no-op, so
-/// solvers use it unconditionally — gate only per-iteration sample
-/// *assembly* on enabled() when it costs anything (e.g. counting the tabu
-/// list).
+/// The scaffolding of one search run, shared by every solver and the
+/// repair so each of them writes only its move rule. Construction starts
+/// the run: it reads the clock, builds the run's DeltaEvaluator, calls
+/// BeginRun (cold cache, zeroed counters) and attaches SolverOptions::obs
+/// (a "solve/<name>" span and the telemetry ring); destruction detaches.
+/// When options.obs is null (the default) the observability members are
+/// cheap no-ops, so solvers use them unconditionally — gate only
+/// per-iteration sample *assembly* on observed() when it costs anything
+/// (e.g. counting the tabu list). `options` must outlive the run.
 class SolveScope {
  public:
   SolveScope(const CandidateEvaluator& evaluator, const SolverOptions& options,
@@ -32,64 +35,71 @@ class SolveScope {
   SolveScope(const SolveScope&) = delete;
   SolveScope& operator=(const SolveScope&) = delete;
 
-  bool enabled() const { return obs_ != nullptr; }
+  const CandidateEvaluator& evaluator() const { return evaluator_; }
+  const SolverOptions& options() const { return options_; }
+  DeltaEvaluator& delta() { return delta_; }
 
-  /// Records one outer-iteration telemetry sample (ring-bounded).
-  void RecordIteration(const obs::IterationSample& sample) {
-    if (ring_ != nullptr) ring_->Record(sample);
-  }
+  /// Thread pool for batch misses per SolverOptions::num_threads, built on
+  /// first use; null when the resolved count is 1 (batches run inline).
+  ThreadPool* pool();
 
-  /// Copies telemetry and a metrics snapshot into `stats` and bumps the
-  /// solver.stop.<reason> counter. FinalizeSolution calls this; only call
-  /// it directly on non-FinalizeSolution exits.
-  void Export(SolverStats* stats);
+  /// True when the wall-clock or evaluation budget is set and spent,
+  /// setting `*stop` to the matching reason (time wins when both expired,
+  /// so tiny time-limit tests keep seeing kTimeLimit). Solvers must consult
+  /// this both before dispatching a batch and right after it returns:
+  /// checking only at the top of the outer loop lets one large batch
+  /// overshoot either budget by an unbounded amount.
+  bool Expired(StopReason* stop) const;
+
+  /// Appends a trace point at the current evaluation count when
+  /// SolverOptions::record_trace is set. Call on every incumbent
+  /// improvement.
+  void Improved(double best_quality);
+
+  bool observed() const { return obs_ != nullptr; }
+
+  /// Records one outer-iteration telemetry sample (ring-bounded), stamping
+  /// its evaluation count.
+  void Record(obs::IterationSample sample);
+
+  /// Fully evaluates `best` and packages it, the effort counters, the stop
+  /// reason, the trace and (when observed) the telemetry and a metrics
+  /// snapshot into a Solution; bumps the solver.stop.<reason> counter.
+  Solution Finish(std::vector<SourceId> best, int64_t iterations,
+                  StopReason stop);
 
  private:
+  WallTimer timer_;
   const CandidateEvaluator& evaluator_;
-  obs::ObsContext* obs_ = nullptr;
+  const SolverOptions& options_;
+  std::string_view name_;
+  obs::ObsContext* obs_;
   std::unique_ptr<obs::TelemetryRing> ring_;
   obs::Tracer::Span span_;
+  DeltaEvaluator delta_;
+  bool pool_built_ = false;
+  std::unique_ptr<ThreadPool> pool_;
+  std::vector<TracePoint> trace_;
 };
 
-/// True when the wall-clock or evaluation budget is set and spent, setting
-/// `*stop` to the matching reason (time wins when both expired, so tiny
-/// time-limit tests keep seeing kTimeLimit). Solvers must consult this both
-/// before dispatching a QualityBatch and right after it returns: checking
-/// only at the top of the outer loop lets one large batch overshoot either
-/// budget by an unbounded amount.
-inline bool BudgetExpired(const WallTimer& timer,
-                          const CandidateEvaluator& evaluator,
-                          const SolverOptions& options, StopReason* stop) {
-  if (options.time_limit_seconds > 0.0 &&
-      timer.ElapsedSeconds() >= options.time_limit_seconds) {
-    *stop = StopReason::kTimeLimit;
-    return true;
-  }
-  if (options.max_evaluations > 0 &&
-      evaluator.num_evaluations() >= options.max_evaluations) {
-    *stop = StopReason::kEvalBudget;
-    return true;
-  }
-  return false;
-}
+/// Moves sampled per iteration by the local-move searches:
+/// SolverOptions::candidate_moves, or by default a sample that grows with
+/// |U| within [24, 64].
+int MovesPerIteration(const SolverOptions& options, int num_sources);
 
-/// Fully evaluates `best` and packages it (plus effort counters and the
-/// stop reason) into a Solution. Shared by every solver. `trace` (may be
-/// empty) is moved into the stats; `scope`, when given, exports telemetry
-/// and metrics into the stats.
-Solution FinalizeSolution(const CandidateEvaluator& evaluator,
-                          std::vector<SourceId> best, std::string solver_name,
-                          int64_t iterations, const WallTimer& timer,
-                          StopReason stop_reason,
-                          std::vector<TracePoint> trace = {},
-                          SolveScope* scope = nullptr);
-
-/// Appends a trace point when tracing is enabled.
-inline void MaybeTrace(bool enabled, const CandidateEvaluator& evaluator,
-                       double best_quality, std::vector<TracePoint>* trace) {
-  if (!enabled) return;
-  trace->push_back(TracePoint{evaluator.num_evaluations(), best_quality});
-}
+/// Best-of-sample ascent from `state`, whose quality is `quality`: each
+/// iteration samples MovesPerIteration moves, scores them as one batch and
+/// commits the best one that beats the current quality by more than 1e-12,
+/// raising `*best`/`*best_quality` (and the trace) whenever the climb
+/// passes them. Runs at most max(1, max_iterations) iterations, counted in
+/// `*iterations`. Returns kConverged when a batch holds no improving move,
+/// kExhausted when no legal move exists, kMaxIterations when the iterations
+/// run out, or the budget's reason from run->Expired, checked before and
+/// after every batch.
+StopReason Climb(SolveScope* run, Rng& rng, int max_iterations,
+                 SearchState* state, double quality,
+                 std::vector<SourceId>* best, double* best_quality,
+                 int64_t* iterations);
 
 /// Common entry checks: non-empty universe. Returns OK or kInfeasible.
 Status CheckSolvable(const CandidateEvaluator& evaluator);
@@ -102,10 +112,6 @@ Status CheckSolvable(const CandidateEvaluator& evaluator);
 /// infeasible-seed path stays bit-identical to a cold solve.
 std::vector<SourceId> ValidWarmStart(const CandidateEvaluator& evaluator,
                                      const SolverOptions& options);
-
-/// Thread pool for QualityBatch per SolverOptions::num_threads, or null
-/// when the resolved count is 1 (QualityBatch then evaluates inline).
-std::unique_ptr<ThreadPool> MakeEvalPool(const SolverOptions& options);
 
 }  // namespace ube::internal
 

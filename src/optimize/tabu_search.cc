@@ -1,13 +1,10 @@
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "optimize/search_state.h"
 #include "optimize/solver_internal.h"
 #include "optimize/solvers.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace ube {
 
@@ -29,19 +26,13 @@ constexpr int kMaxUnproductiveRestarts = 3;
 Result<Solution> TabuSearchSolver::Solve(const CandidateEvaluator& evaluator,
                                          const SolverOptions& options) const {
   UBE_RETURN_IF_ERROR(internal::CheckSolvable(evaluator));
-  WallTimer timer(options.clock);
-  evaluator.BeginRun();
-  internal::SolveScope scope(evaluator, options, name());
+  internal::SolveScope run(evaluator, options, name());
   Rng rng(options.seed);
-  std::unique_ptr<ThreadPool> pool = internal::MakeEvalPool(options);
-  DeltaEvaluator delta(evaluator, options.delta_eval);
 
   const int n = evaluator.universe().num_sources();
   const int tenure =
       options.tabu_tenure > 0 ? options.tabu_tenure : 7 + n / 50;
-  const int sample = options.candidate_moves > 0
-                         ? options.candidate_moves
-                         : std::min(64, std::max(24, n / 8));
+  const int sample = internal::MovesPerIteration(options, n);
 
   // Warm start: begin from the (sanitized) seed instead of a random draw.
   // Checked before any rng use, so a rejected seed leaves the run
@@ -49,11 +40,10 @@ Result<Solution> TabuSearchSolver::Solve(const CandidateEvaluator& evaluator,
   std::vector<SourceId> warm = internal::ValidWarmStart(evaluator, options);
   SearchState state = warm.empty() ? SearchState(evaluator, rng)
                                    : SearchState(evaluator, std::move(warm));
-  double current_quality = delta.Quality(state.sources());
+  double current_quality = run.delta().Quality(state.sources());
   std::vector<SourceId> best = state.sources();
   double best_quality = current_quality;
-  std::vector<TracePoint> trace;
-  internal::MaybeTrace(options.record_trace, evaluator, best_quality, &trace);
+  run.Improved(best_quality);
 
   // tabu_add_until[s]: iterations before which re-adding s is tabu
   // (set when s is dropped); tabu_drop_until[s]: before which dropping s
@@ -81,10 +71,9 @@ Result<Solution> TabuSearchSolver::Solve(const CandidateEvaluator& evaluator,
   // Telemetry is assembled only when observability is attached: counting
   // the tabu lists is O(n) per iteration.
   auto record_iteration = [&](int iter, size_t neighborhood) {
-    if (!scope.enabled()) return;
+    if (!run.observed()) return;
     obs::IterationSample sample;
     sample.iteration = iterations;
-    sample.evaluations = evaluator.num_evaluations();
     sample.incumbent_quality = best_quality;
     sample.neighborhood = static_cast<int32_t>(neighborhood);
     int occupancy = 0;
@@ -92,11 +81,11 @@ Result<Solution> TabuSearchSolver::Solve(const CandidateEvaluator& evaluator,
     for (int until : tabu_drop_until) occupancy += iter < until ? 1 : 0;
     sample.tabu_occupancy = occupancy;
     sample.stall = stall;
-    scope.RecordIteration(sample);
+    run.Record(sample);
   };
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     // Pre-dispatch deadline check (see also the post-batch check below).
-    if (internal::BudgetExpired(timer, evaluator, options, &stop)) {
+    if (run.Expired(&stop)) {
       break;
     }
     if (options.stall_iterations > 0 && stall >= options.stall_iterations) {
@@ -132,8 +121,8 @@ Result<Solution> TabuSearchSolver::Solve(const CandidateEvaluator& evaluator,
       moves.push_back(move);
       candidates.push_back(state.Apply(move));
     }
-    std::vector<double> qualities =
-        delta.ScoreNeighborhood(state.sources(), moves, candidates, pool.get());
+    std::vector<double> qualities = run.delta().ScoreNeighborhood(
+        state.sources(), moves, candidates, run.pool());
 
     bool have_move = false;
     SearchState::Move chosen;
@@ -165,7 +154,7 @@ Result<Solution> TabuSearchSolver::Solve(const CandidateEvaluator& evaluator,
       record_iteration(iter, candidates.size());
       // Post-batch deadline check: the batch we just paid for may have
       // overshot the budget; stop now instead of sampling another one.
-      if (internal::BudgetExpired(timer, evaluator, options, &stop)) {
+      if (run.Expired(&stop)) {
         break;
       }
       continue;
@@ -185,8 +174,7 @@ Result<Solution> TabuSearchSolver::Solve(const CandidateEvaluator& evaluator,
     if (current_quality > best_quality + kEps) {
       best_quality = current_quality;
       best = state.sources();
-      internal::MaybeTrace(options.record_trace, evaluator, best_quality,
-                           &trace);
+      run.Improved(best_quality);
       stall = 0;
       since_restart = 0;
       improved_since_restart = true;
@@ -198,14 +186,12 @@ Result<Solution> TabuSearchSolver::Solve(const CandidateEvaluator& evaluator,
     record_iteration(iter, candidates.size());
     // Post-batch deadline check: fold the batch's result (above), then stop
     // before dispatching another batch past the budget.
-    if (internal::BudgetExpired(timer, evaluator, options, &stop)) {
+    if (run.Expired(&stop)) {
       break;
     }
   }
 
-  return internal::FinalizeSolution(evaluator, std::move(best),
-                                    std::string(name()), iterations, timer,
-                                    stop, std::move(trace), &scope);
+  return run.Finish(std::move(best), iterations, stop);
 }
 
 }  // namespace ube

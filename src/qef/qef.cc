@@ -11,20 +11,6 @@ namespace {
 
 double Clamp01(double x) { return std::clamp(x, 0.0, 1.0); }
 
-/// Card / Coverage / Redundancy read only the aggregates the context
-/// already carries, so given a prepared context their Evaluate is O(1);
-/// the delta scorer simply forwards to it (one implementation, no drift).
-class ForwardingDeltaScorer final : public QefDeltaScorer {
- public:
-  explicit ForwardingDeltaScorer(const Qef* qef) : qef_(qef) {}
-  double Score(const EvalContext& ctx) const override {
-    return qef_->Evaluate(ctx);
-  }
-
- private:
-  const Qef* qef_;
-};
-
 /// CharacteristicQef's Evaluate rescans the universe (min/max) and hits the
 /// per-source characteristic map for every candidate. This scorer freezes
 /// both into per-source tables at construction and replays Evaluate's exact
@@ -106,24 +92,6 @@ double MatchingQualityQef::Evaluate(const EvalContext& ctx) const {
             "MatchingQualityQef requires a Match(S) result in the context");
   if (!ctx.match->valid) return 0.0;
   return Clamp01(ctx.match->matching_quality);
-}
-
-std::unique_ptr<QefDeltaScorer> CardinalityQef::MakeDeltaScorer(
-    const Universe& universe) const {
-  (void)universe;
-  return std::make_unique<ForwardingDeltaScorer>(this);
-}
-
-std::unique_ptr<QefDeltaScorer> CoverageQef::MakeDeltaScorer(
-    const Universe& universe) const {
-  (void)universe;
-  return std::make_unique<ForwardingDeltaScorer>(this);
-}
-
-std::unique_ptr<QefDeltaScorer> RedundancyQef::MakeDeltaScorer(
-    const Universe& universe) const {
-  (void)universe;
-  return std::make_unique<ForwardingDeltaScorer>(this);
 }
 
 std::unique_ptr<QefDeltaScorer> CharacteristicQef::MakeDeltaScorer(

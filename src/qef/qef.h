@@ -86,7 +86,8 @@ struct EvalContext {
 /// call (min/max scans, characteristic lookups). Built once per
 /// CandidateEvaluator by Qef::MakeDeltaScorer against an immutable
 /// universe; every Q(S) the evaluator computes, on the full path and on
-/// the delta path (src/optimize/delta_evaluator.h), scores through it.
+/// the delta path (src/optimize/delta_evaluator.h), scores the QEF through
+/// it when the QEF has one.
 ///
 /// Contract: Score(ctx) must return a double bit-identical to the owning
 /// Qef's Evaluate(ctx) for every context the quality model can build over
@@ -114,8 +115,10 @@ class Qef {
   /// outlive the scorer and stay immutable while it is used). The default
   /// returns null, meaning the QEF has no table to read — true for the
   /// matching-based QEFs (they read the Match(S) result, which the evaluator
-  /// computes per candidate) and user lambdas (opaque) — and the evaluator
-  /// then scores it through Evaluate, on the delta path too.
+  /// computes per candidate), for Card, Coverage and Redundancy (they read
+  /// only aggregates the context already carries, so their Evaluate is
+  /// O(1)) and for user lambdas (opaque) — and the evaluator then scores it
+  /// through Evaluate, on the delta path too.
   virtual std::unique_ptr<QefDeltaScorer> MakeDeltaScorer(
       const Universe& universe) const {
     (void)universe;
@@ -137,8 +140,6 @@ class CardinalityQef final : public Qef {
  public:
   double Evaluate(const EvalContext& ctx) const override;
   std::string_view name() const override { return "cardinality"; }
-  std::unique_ptr<QefDeltaScorer> MakeDeltaScorer(
-      const Universe& universe) const override;
 };
 
 /// F3: Coverage(S) = |∪S| / |∪U| — how much of the universe's distinct
@@ -148,8 +149,6 @@ class CoverageQef final : public Qef {
  public:
   double Evaluate(const EvalContext& ctx) const override;
   std::string_view name() const override { return "coverage"; }
-  std::unique_ptr<QefDeltaScorer> MakeDeltaScorer(
-      const Universe& universe) const override;
 };
 
 /// F4: Redundancy(S) — degree of overlap among the sources of S, oriented
@@ -169,8 +168,6 @@ class RedundancyQef final : public Qef {
   explicit RedundancyQef(Mode mode = Mode::kOverlapFactor) : mode_(mode) {}
   double Evaluate(const EvalContext& ctx) const override;
   std::string_view name() const override { return "redundancy"; }
-  std::unique_ptr<QefDeltaScorer> MakeDeltaScorer(
-      const Universe& universe) const override;
   Mode mode() const { return mode_; }
 
  private:

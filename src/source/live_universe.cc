@@ -18,19 +18,10 @@ LiveUniverse::LiveUniverse(Universe universe, Options options)
       health_(options.breaker),
       refresh_retry_cost_ms_(options.refresh_retry_cost_ms),
       max_sources_(options.max_sources) {
-  // Every signed source must share the first one's format, the rule Apply
-  // enforces on new sources; the first that does not is reported.
+  // Every source must pass the rules Apply enforces on new sources; the
+  // first that does not is reported.
   for (SourceId s = 0; s < universe_->num_sources() && status_.ok(); ++s) {
-    const DataSource& source = universe_->source(s);
-    if (!source.has_signature()) continue;
-    const std::string format = SignatureFormat(source.signature());
-    if (signature_format_.empty()) {
-      signature_format_ = format;
-    } else if (format != signature_format_) {
-      status_ = Status::InvalidArgument(
-          "source '" + source.name() + "' has a signature of format " +
-          format + " but the universe's signatures have " + signature_format_);
-    }
+    status_ = AdmitSource(universe_->source(s), "source");
   }
   std::unique_ptr<AttributeSimilarity> measure =
       options.similarity != nullptr ? std::move(options.similarity)
@@ -122,34 +113,39 @@ Status LiveUniverse::ApplyAdd(const ChurnEvent& event) {
         " exceeds the declared capacity of " + std::to_string(max_sources_) +
         " sources");
   }
-  // The catalog's rules (ParseCatalog): a solve would otherwise abort on a
-  // signature it cannot merge, or score NaN.
-  const DataSource& added = *event.added;
-  const std::string prefix = "new source '" + added.name() + "' ";
-  if (added.cardinality() < 0) {
-    return Status::InvalidArgument(prefix + "has a negative cardinality");
-  }
-  for (const auto& [name, value] : added.characteristics()) {
-    if (!std::isfinite(value)) {
-      return Status::InvalidArgument(
-          prefix + "has a non-finite characteristic '" + name + "'");
-    }
-  }
-  if (!std::isfinite(added.staleness())) {
-    return Status::InvalidArgument(prefix + "has a non-finite staleness");
-  }
-  if (added.has_signature()) {
-    const std::string format = SignatureFormat(added.signature());
-    if (!signature_format_.empty() && format != signature_format_) {
-      return Status::InvalidArgument(
-          prefix + "has a signature of format " + format +
-          " but the universe's signatures have " + signature_format_);
-    }
-    signature_format_ = format;
-  }
-  universe_->AddSource(CloneSource(added));
+  UBE_RETURN_IF_ERROR(AdmitSource(*event.added, "new source"));
+  universe_->AddSource(CloneSource(*event.added));
   graph_->PatchSourceAdded(*universe_, event.source);
   health_.Reset(event.source);
+  return Status::Ok();
+}
+
+Status LiveUniverse::AdmitSource(const DataSource& source,
+                                 std::string_view role) {
+  // The catalog's rules (ParseCatalog): a solve would otherwise abort on a
+  // signature it cannot merge, or score NaN.
+  auto reject = [&](const std::string& what) {
+    return Status::InvalidArgument(std::string(role) + " '" + source.name() +
+                                   "' " + what);
+  };
+  if (source.cardinality() < 0) return reject("has a negative cardinality");
+  for (const auto& [name, value] : source.characteristics()) {
+    if (!std::isfinite(value)) {
+      return reject("has a non-finite characteristic '" + name + "'");
+    }
+  }
+  if (!std::isfinite(source.staleness())) {
+    return reject("has a non-finite staleness");
+  }
+  if (source.has_signature()) {
+    std::string format = SignatureFormat(source.signature());
+    if (!signature_format_.empty() && format != signature_format_) {
+      return reject("has a signature of format " + format +
+                    " but the universe's signatures have " +
+                    signature_format_);
+    }
+    signature_format_ = std::move(format);
+  }
   return Status::Ok();
 }
 

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "catalog/change_feed.h"
@@ -75,10 +76,12 @@ class LiveUniverse {
   SourceHealthRegistry& health() { return health_; }
   const SourceHealthRegistry& health() const { return health_; }
 
-  /// OK unless the universe given to the constructor mixes signature
-  /// formats (signed sources of more than one SignatureFormat, a universe
-  /// no union estimate can merge); then an InvalidArgument naming the first
-  /// offending source, which every Engine call that evaluates returns.
+  /// OK unless a source of the universe given to the constructor breaks
+  /// the rules Apply enforces on new sources (negative cardinality,
+  /// non-finite characteristic or staleness, or a signature format that
+  /// differs from the other signed sources', which no union estimate can
+  /// merge); then an InvalidArgument naming the first offending source,
+  /// which every Engine call that evaluates returns.
   const Status& status() const { return status_; }
 
   /// Bumped by every successfully applied event.
@@ -101,6 +104,10 @@ class LiveUniverse {
   Status ApplyAll(const ChurnTrace& trace);
 
  private:
+  /// The catalog's per-source rules (see Apply). On success adopts the
+  /// source's signature format as the universe's when it has none yet;
+  /// the error names the source, prefixed by `role`.
+  Status AdmitSource(const DataSource& source, std::string_view role);
   Status ApplyAdd(const ChurnEvent& event);
   Status ApplyRemove(const ChurnEvent& event);
   Status ApplyStaleRefresh(const ChurnEvent& event);

@@ -14,8 +14,10 @@
 #include "core/engine.h"
 #include "core/report.h"
 #include "optimize/repair.h"
+#include "optimize/search_state.h"
 #include "qef/quality_model.h"
 #include "source/flaky.h"
+#include "util/rng.h"
 #include "workload/generator.h"
 
 namespace ube {
@@ -416,6 +418,161 @@ TEST(RepairUnitTest, DeterministicAcrossThreadCounts) {
   EXPECT_EQ(a.solution.quality, b.solution.quality);
   EXPECT_EQ(a.solution.stats.evaluations, b.solution.stats.evaluations);
   EXPECT_EQ(a.seed_quality, b.seed_quality);
+}
+
+/// What the reference climb below ends with, in RepairIncumbent's terms.
+struct ReferenceWalk {
+  std::vector<SourceId> sources;
+  double quality = 0.0;
+  int64_t iterations = 0;
+  StopReason stop = StopReason::kMaxIterations;
+  int64_t evaluations = 0;
+  int64_t cache_hits = 0;
+  /// Computed evaluations just before and just after the last batch.
+  int64_t before_last_batch = 0;
+  int64_t after_last_batch = 0;
+};
+
+/// The repair's climb restated over the public evaluator API: from a
+/// feasible seed, sample the moves of one iteration, score them with
+/// QualityBatch, commit the *best* move that improves on the current
+/// quality, and check the evaluation budget before and after every batch.
+ReferenceWalk ReferenceClimb(const CandidateEvaluator& evaluator,
+                             const std::vector<SourceId>& seed,
+                             const RepairOptions& options) {
+  evaluator.BeginRun();
+  Rng rng(options.seed);
+  SearchState state(evaluator, seed);
+  double current = evaluator.Quality(state.sources());
+  const int n = evaluator.universe().num_sources();
+  const int sample = options.candidate_moves > 0
+                         ? options.candidate_moves
+                         : std::min(64, std::max(24, n / 8));
+  auto spent = [&] {
+    return options.eval_budget > 0 &&
+           evaluator.num_evaluations() >= options.eval_budget;
+  };
+  ReferenceWalk walk;
+  for (int iter = 0; iter < std::max(1, options.max_iterations); ++iter) {
+    if (spent()) {
+      walk.stop = StopReason::kEvalBudget;
+      break;
+    }
+    ++walk.iterations;
+    std::vector<SearchState::Move> moves;
+    std::vector<std::vector<SourceId>> candidates;
+    for (int k = 0; k < sample; ++k) {
+      SearchState::Move move;
+      if (!state.RandomMove(rng, &move)) break;
+      moves.push_back(move);
+      candidates.push_back(state.Apply(move));
+    }
+    if (moves.empty()) {
+      walk.stop = StopReason::kExhausted;
+      break;
+    }
+    walk.before_last_batch = evaluator.num_evaluations();
+    const std::vector<double> qualities = evaluator.QualityBatch(candidates);
+    walk.after_last_batch = evaluator.num_evaluations();
+    int chosen = -1;
+    double chosen_quality = current;
+    for (size_t k = 0; k < moves.size(); ++k) {
+      if (qualities[k] > chosen_quality + 1e-12) {
+        chosen = static_cast<int>(k);
+        chosen_quality = qualities[k];
+      }
+    }
+    if (chosen >= 0) {
+      state.Commit(moves[static_cast<size_t>(chosen)]);
+      current = chosen_quality;
+    }
+    if (spent()) {
+      walk.stop = StopReason::kEvalBudget;
+      break;
+    }
+    if (chosen < 0) {
+      walk.stop = StopReason::kConverged;
+      break;
+    }
+  }
+  walk.sources = state.sources();
+  walk.quality = evaluator.Evaluate(walk.sources).quality;
+  walk.evaluations = evaluator.num_evaluations();
+  walk.cache_hits = evaluator.num_cache_hits();
+  return walk;
+}
+
+// RepairIncumbent climbs exactly like the reference: best-of-sample moves,
+// a budget check after every batch (one budget runs out inside the last,
+// non-improving batch, where only that check tells eval-budget from
+// converged), and the same evaluation and cache-hit counts. A one-restart
+// local search from the same seed walks the same way; it reports its stop
+// differently (max-iterations unless a budget ran out).
+TEST(RepairUnitTest, WalksLikeTheReferenceClimb) {
+  Universe universe = MediumUniverse(24);
+  SimilarityGraph graph(universe, MakeDefaultSimilarity(), 0.25);
+  ClusterMatcher matcher(universe, graph);
+  QualityModel model = QualityModel::MakeDefault();
+  ProblemSpec spec;
+  spec.max_sources = 6;
+  CandidateEvaluator evaluator(universe, matcher, model, spec);
+  const std::vector<SourceId> seed = {0, 3, 8};
+
+  int budget_inside_last_batch = 0;
+  for (uint64_t rng_seed = 1; rng_seed <= 5; ++rng_seed) {
+    RepairOptions unbounded;
+    unbounded.seed = rng_seed;
+    unbounded.eval_budget = 0;
+    const ReferenceWalk open_walk = ReferenceClimb(evaluator, seed, unbounded);
+    std::vector<int64_t> budgets = {0, 40};
+    int64_t inside_last_batch = -1;
+    if (open_walk.stop == StopReason::kConverged &&
+        open_walk.after_last_batch > open_walk.before_last_batch) {
+      inside_last_batch = open_walk.before_last_batch + 1;
+      budgets.push_back(inside_last_batch);
+      ++budget_inside_last_batch;
+    }
+    for (int64_t budget : budgets) {
+      for (int threads : {1, 3}) {
+        SCOPED_TRACE(::testing::Message() << "seed " << rng_seed << " budget "
+                                          << budget << " threads " << threads);
+        RepairOptions options = unbounded;
+        options.eval_budget = budget;
+        options.num_threads = threads;
+        const ReferenceWalk walk = ReferenceClimb(evaluator, seed, options);
+        if (budget == inside_last_batch) {
+          EXPECT_EQ(walk.stop, StopReason::kEvalBudget);
+          EXPECT_EQ(walk.sources, open_walk.sources);
+        }
+        RepairResult repaired = RepairIncumbent(evaluator, seed, options);
+        ASSERT_TRUE(repaired.seeded);
+        const Solution& got = repaired.solution;
+        EXPECT_EQ(got.sources, walk.sources);
+        EXPECT_EQ(got.quality, walk.quality);  // bit-exact
+        EXPECT_EQ(got.stats.iterations, walk.iterations);
+        EXPECT_EQ(got.stats.stop_reason, walk.stop);
+        EXPECT_EQ(got.stats.evaluations, walk.evaluations);
+        EXPECT_EQ(got.stats.cache_hits, walk.cache_hits);
+
+        SolverOptions sls;
+        sls.seed = rng_seed;
+        sls.restarts = 1;
+        sls.max_iterations = options.max_iterations;
+        sls.max_evaluations = budget;
+        sls.num_threads = threads;
+        sls.initial_incumbent = seed;
+        Result<Solution> climbed =
+            MakeSolver(SolverKind::kLocalSearch)->Solve(evaluator, sls);
+        ASSERT_TRUE(climbed.ok()) << climbed.status();
+        EXPECT_EQ(climbed->sources, walk.sources);
+        EXPECT_EQ(climbed->quality, walk.quality);
+        EXPECT_EQ(climbed->stats.iterations, walk.iterations);
+        EXPECT_EQ(climbed->stats.evaluations, walk.evaluations);
+        EXPECT_EQ(climbed->stats.cache_hits, walk.cache_hits);
+      }
+    }
+  }
+  EXPECT_GT(budget_inside_last_batch, 0);
 }
 
 TEST(RepairBudgetControllerTest, ClampsBaseAndDoublesOnEscalation) {

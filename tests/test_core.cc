@@ -232,6 +232,53 @@ TEST(EngineTest, MixedSignatureFormatsAreRejected) {
   }
 }
 
+// A programmatic universe gets the catalog's per-source rules too: a NaN or
+// infinite characteristic, or a negative cardinality, on source 3 is an
+// InvalidArgument naming it, where it used to score a non-finite Q(S) with
+// an OK status.
+TEST(EngineTest, NonFiniteOrNegativeSourceStatisticsAreRejected) {
+  enum class Defect { kNanMttf, kInfMttf, kNegativeCardinality };
+  for (Defect defect :
+       {Defect::kNanMttf, Defect::kInfMttf, Defect::kNegativeCardinality}) {
+    SCOPED_TRACE(static_cast<int>(defect));
+    GeneratedWorkload w = GenerateWorkload(SmallConfig(20, 7));
+    DataSource* odd = w.universe.mutable_source(3);
+    switch (defect) {
+      case Defect::kNanMttf:
+        odd->SetCharacteristic(kMttfCharacteristic,
+                               std::numeric_limits<double>::quiet_NaN());
+        break;
+      case Defect::kInfMttf:
+        odd->SetCharacteristic(kMttfCharacteristic,
+                               std::numeric_limits<double>::infinity());
+        break;
+      case Defect::kNegativeCardinality:
+        odd->set_cardinality(-1'000'000);
+        break;
+    }
+    const std::string name = odd->name();
+    Engine engine(std::move(w.universe), QualityModel::MakeDefault());
+    ProblemSpec spec;
+    spec.max_sources = 5;
+
+    Result<CandidateEvaluator::Evaluation> evaluation =
+        engine.EvaluateCandidate(spec, {0, 1, 2, 3});
+    EXPECT_EQ(evaluation.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(evaluation.status().message().find(name), std::string::npos)
+        << evaluation.status();
+    Result<Solution> solution =
+        engine.Solve(spec, SolverKind::kTabu, FastSolve());
+    EXPECT_EQ(solution.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(solution.status().message().find(name), std::string::npos)
+        << solution.status();
+    Result<std::vector<SourceId>> seed =
+        engine.RepairSeed(spec, {0, 1, 2, 3}, RepairOptions{});
+    EXPECT_EQ(seed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(seed.status().message().find(name), std::string::npos)
+        << seed.status();
+  }
+}
+
 // ------------------------------- Session --------------------------------
 
 class SessionTest : public ::testing::Test {

@@ -471,6 +471,18 @@ TEST(ObsIdentityTest, TelemetryAndSnapshotReconcileWithStats) {
               stats.telemetry[i - 1].incumbent_quality);
   }
   EXPECT_EQ(stats.telemetry.back().incumbent_quality, solution->quality);
+  // Each sample carries the evaluations spent by its iteration's end:
+  // positive, nondecreasing, and within the run's total.
+  for (size_t i = 0; i < stats.telemetry.size(); ++i) {
+    EXPECT_GT(stats.telemetry[i].evaluations, 0) << "sample " << i;
+    EXPECT_LE(stats.telemetry[i].evaluations, stats.evaluations)
+        << "sample " << i;
+    if (i > 0) {
+      EXPECT_GE(stats.telemetry[i].evaluations,
+                stats.telemetry[i - 1].evaluations)
+          << "sample " << i;
+    }
+  }
 
   // The snapshot's eval counters reconcile with the evaluator's own.
   ASSERT_NE(stats.metrics, nullptr);
