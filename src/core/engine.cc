@@ -22,19 +22,6 @@ LiveUniverse BuildLive(Universe universe, Engine::Options* options) {
   return LiveUniverse(std::move(universe), std::move(live));
 }
 
-/// Required ids of a spec (source constraints + GA constraint sources),
-/// sorted unique — the set breaker bans must never touch.
-std::vector<SourceId> RequiredIds(const ProblemSpec& spec) {
-  std::vector<SourceId> required = spec.source_constraints;
-  for (const GlobalAttribute& g : spec.ga_constraints) {
-    for (const AttributeId& id : g.attributes()) required.push_back(id.source);
-  }
-  std::sort(required.begin(), required.end());
-  required.erase(std::unique(required.begin(), required.end()),
-                 required.end());
-  return required;
-}
-
 }  // namespace
 
 std::string_view EscalationReasonName(EscalationReason reason) {
@@ -232,7 +219,8 @@ Result<ContinuousReport> Engine::RunContinuous(
     Result<ProblemSpec> effective = EffectiveSpec(spec);
     UBE_RETURN_IF_ERROR(effective.status());
     ProblemSpec batch_spec = std::move(effective.value());
-    const std::vector<SourceId> required = RequiredIds(batch_spec);
+    const std::vector<SourceId> required =
+        CandidateEvaluator::RequiredSources(batch_spec);
     for (SourceId s : live_.health().TrackedIds()) {
       if (live_.health().IsBlocked(s, batch_time) &&
           !std::binary_search(required.begin(), required.end(), s)) {
@@ -348,12 +336,7 @@ Result<CandidateEvaluator::Evaluation> Engine::EvaluateCandidate(
   if (static_cast<int>(sources.size()) > spec.max_sources) {
     return Status::InvalidArgument("candidate exceeds m sources");
   }
-  std::vector<SourceId> required;
-  for (SourceId s : spec.source_constraints) required.push_back(s);
-  for (const GlobalAttribute& g : spec.ga_constraints) {
-    for (const AttributeId& id : g.attributes()) required.push_back(id.source);
-  }
-  for (SourceId s : required) {
+  for (SourceId s : CandidateEvaluator::RequiredSources(spec)) {
     if (!std::binary_search(sources.begin(), sources.end(), s)) {
       return Status::InvalidArgument(
           "candidate omits a source the constraints require");

@@ -9,16 +9,7 @@ namespace ube {
 SessionServer::SessionServer(Engine engine, Options options)
     : options_(std::move(options)),
       engine_(std::move(engine)),
-      cache_(options_.cache_entries_per_shard) {
-  // Force the lazy caches now, while the server is still single-threaded:
-  // Universe::UnionSignature()/FreshUnionSignature() build on first use,
-  // and N sessions constructing evaluators concurrently must only ever
-  // read them. A universe that mixes signature formats cannot be merged;
-  // its sessions get the engine's Status instead of an evaluator.
-  if (!engine_.live().status().ok()) return;
-  (void)engine_.universe().UnionSignature();
-  (void)engine_.universe().FreshUnionSignature();
-}
+      cache_(options_.cache_entries_per_shard) {}
 
 SessionServer::SessionServer(Engine engine)
     : SessionServer(std::move(engine), Options()) {}

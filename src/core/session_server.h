@@ -60,9 +60,9 @@ class SessionServer {
     obs::ObsContext* obs = nullptr;
   };
 
-  /// Takes ownership of the engine. Primes the universe's lazily-built
-  /// union signatures so concurrent first evaluations never race on the
-  /// lazy init (the engine is immutable from here on).
+  /// Takes ownership of the engine (immutable from here on). The universe
+  /// keeps no lazily built state, so sessions may build evaluators over it
+  /// concurrently from the first Open().
   SessionServer(Engine engine, Options options);
   explicit SessionServer(Engine engine);
 

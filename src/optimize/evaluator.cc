@@ -21,17 +21,6 @@ std::vector<SourceId> SortedUnique(std::vector<SourceId> ids) {
   return ids;
 }
 
-std::vector<SourceId> ComputeRequired(const ProblemSpec& spec) {
-  std::vector<SourceId> required = spec.source_constraints;
-  for (const GlobalAttribute& g : spec.ga_constraints) {
-    for (const AttributeId& id : g.attributes()) required.push_back(id.source);
-  }
-  std::sort(required.begin(), required.end());
-  required.erase(std::unique(required.begin(), required.end()),
-                 required.end());
-  return required;
-}
-
 /// Digests everything a quality value depends on into 64 bits: the spec's
 /// matching knobs and constraints, the effective weights (bit patterns, so
 /// an overlay differing in the last ulp still separates), the degradation
@@ -172,12 +161,11 @@ CandidateEvaluator::CandidateEvaluator(const Universe& universe,
       matcher_(matcher),
       model_(model),
       spec_(spec),
-      required_(ComputeRequired(spec)),
+      required_(RequiredSources(spec)),
       banned_(SortedUnique(spec.banned_sources)),
       effective_weights_(spec.weight_overlay.empty() ? model.weights()
                                                      : spec.weight_overlay),
-      needs_match_(model.NeedsMatching()),
-      denominators_(model.UniverseDenominators(universe)) {
+      needs_match_(model.NeedsMatching()) {
   Status status = ValidateSpec(universe, spec);
   UBE_CHECK(status.ok(), "invalid ProblemSpec: " + status.ToString());
   // Evaluate does not re-validate per call, so the weights it runs under
@@ -196,20 +184,28 @@ CandidateEvaluator::CandidateEvaluator(const Universe& universe,
   // The per-source table, in one pass: the degradation policy is a pure
   // function of each source's stats, and the universe must not mutate
   // during a search, so it is applied once here instead of once per member
-  // per evaluation. Unions are word ORs only when every admitted signature
-  // is a PcsaSignature of one width (the class is final, so an exact type
-  // check suffices); exact signatures keep MakeContext's Clone+MergeFrom.
+  // per evaluation. The same pass sums Card's Σ|t| and marks the rows of
+  // Coverage's |∪U|: every source, or only the fresh ones under
+  // kExcludeRenormalize (MakeContext's rule). Unions are word ORs only when
+  // every signature is a PcsaSignature of one width (the class is final,
+  // so an exact type check suffices); exact signatures keep MakeContext's
+  // Clone+MergeFrom.
+  const bool fresh_only =
+      model.degradation().policy == DegradationPolicy::kExcludeRenormalize;
   const int n = universe.num_sources();
   sources_.resize(static_cast<size_t>(n));
   for (SourceId s = 0; s < n; ++s) {
     const DataSource& source = universe.source(s);
     const QualityModel::SourcePolicy policy = model.PolicyFor(source);
+    const bool counted = !fresh_only || source.stats_fresh();
     SourceEntry& e = sources_[static_cast<size_t>(s)];
     e.cardinality = source.cardinality();
     e.contribution = policy.weight * static_cast<double>(source.cardinality());
     e.degraded = policy.degraded;
-    e.admitted = policy.admit_signature && source.has_signature();
-    if (!e.admitted) continue;
+    if (counted) universe_cardinality_ += e.cardinality;
+    if (!source.has_signature()) continue;
+    e.admitted = policy.admit_signature;
+    e.in_universe_union = counted;
     e.signature = &source.signature();
     if (typeid(*e.signature) == typeid(PcsaSignature)) {
       e.pcsa_words =
@@ -219,6 +215,17 @@ CandidateEvaluator::CandidateEvaluator(const Universe& universe,
     pcsa_uniform_ = pcsa_uniform_ && e.pcsa_words != nullptr &&
                     e.pcsa_words->size() == words_;
   }
+  universe_union_estimate_ =
+      UnionFromScratch(universe.AllIds(), &SourceEntry::in_universe_union);
+}
+
+std::vector<SourceId> CandidateEvaluator::RequiredSources(
+    const ProblemSpec& spec) {
+  std::vector<SourceId> required = spec.source_constraints;
+  for (const GlobalAttribute& g : spec.ga_constraints) {
+    for (const AttributeId& id : g.attributes()) required.push_back(id.source);
+  }
+  return SortedUnique(std::move(required));
 }
 
 Status CandidateEvaluator::ValidateOverlay(const QualityModel& model,
@@ -270,7 +277,7 @@ Status CandidateEvaluator::ValidateSpec(const Universe& universe,
       }
     }
   }
-  std::vector<SourceId> required = ComputeRequired(spec);
+  std::vector<SourceId> required = RequiredSources(spec);
   if (static_cast<int>(required.size()) > spec.max_sources) {
     return Status::Infeasible(
         "constraints force more sources than m allows");
@@ -352,20 +359,20 @@ QualityBreakdown CandidateEvaluator::Score(
     ctx.cooperating_cardinality += e.contribution;
   }
   ctx.union_estimate = union_estimate;
-  ctx.universe_cardinality = denominators_.cardinality;
-  ctx.universe_union_estimate = denominators_.union_estimate;
+  ctx.universe_cardinality = universe_cardinality_;
+  ctx.universe_union_estimate = universe_union_estimate_;
   return model_.Evaluate(ctx, effective_weights_, scorers_);
 }
 
 double CandidateEvaluator::UnionFromScratch(
-    const std::vector<SourceId>& candidate) const {
+    const std::vector<SourceId>& rows, bool SourceEntry::*counted) const {
   if (pcsa_uniform_) {
     std::vector<uint32_t>& scratch = UnionScratch();
     scratch.assign(words_, 0);
     bool any = false;
-    for (SourceId s : candidate) {
+    for (SourceId s : rows) {
       const SourceEntry& e = sources_[static_cast<size_t>(s)];
-      if (!e.admitted) continue;
+      if (!(e.*counted)) continue;
       any = true;
       const std::vector<uint32_t>& words = *e.pcsa_words;
       for (size_t w = 0; w < words_; ++w) scratch[w] |= words[w];
@@ -375,9 +382,9 @@ double CandidateEvaluator::UnionFromScratch(
   // Exact signatures: MakeContext's Clone-then-MergeFrom union, verbatim,
   // so the estimate bits cannot differ.
   std::unique_ptr<DistinctSignature> union_sig;
-  for (SourceId s : candidate) {
+  for (SourceId s : rows) {
     const SourceEntry& e = sources_[static_cast<size_t>(s)];
-    if (!e.admitted) continue;
+    if (!(e.*counted)) continue;
     if (union_sig == nullptr) {
       union_sig = e.signature->Clone();
     } else {

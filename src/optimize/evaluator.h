@@ -121,20 +121,20 @@ class SharedQualityCache {
 /// cache. Full Evaluate() (with schema and breakdown) always computes.
 ///
 /// Everything a score needs that depends only on the universe is computed
-/// once, at construction: the policy-adjusted denominators
-/// (QualityModel::UniverseDenominators), each QEF's MakeDeltaScorer table
-/// (null for the matching and lambda QEFs, which are scored through
-/// Qef::Evaluate) and the per-source table (cardinality, policy-weighted
-/// contribution, admitted and degraded bits, signature and sketch words).
+/// once, at construction: the per-source table (cardinality,
+/// policy-weighted contribution, admitted and degraded bits, signature and
+/// sketch words), the policy-adjusted denominators Σ_{t∈U}|t| and |∪U|
+/// (summed and ORed in the same pass, |∪U| through the union routine that
+/// scores candidates) and each QEF's MakeDeltaScorer table (null for the
+/// matching and lambda QEFs, which are scored through Qef::Evaluate).
 /// Every Q(S), for every model, is computed from these tables by one
 /// private Score: Evaluate hands it a union taken from scratch, and a
 /// DeltaEvaluator over this evaluator hands it its prefix/suffix union.
 ///
 /// Thread safety: Quality(), QualityBatch(), Evaluate() and the counters
 /// are safe to call concurrently (the referenced Universe/ClusterMatcher/
-/// QualityModel must not be mutated during a search; evaluation reads no
-/// lazily built universe state, since the constructor reads every
-/// universe-wide aggregate it needs).
+/// QualityModel must not be mutated during a search; evaluation reads only
+/// the tables above, never the universe's aggregates).
 /// ResetCounters()/ClearCache()/BeginRun() are not synchronized against
 /// concurrent evaluation; call them between searches.
 ///
@@ -167,6 +167,10 @@ class CandidateEvaluator {
   static Status ValidateOverlay(const QualityModel& model,
                                 const ProblemSpec& spec);
 
+  /// C ∪ {sources referenced by G}, sorted unique — the sources every
+  /// feasible candidate must contain (the "permanently tabu" region).
+  static std::vector<SourceId> RequiredSources(const ProblemSpec& spec);
+
   struct Evaluation {
     double quality = 0.0;
     QualityBreakdown breakdown;
@@ -198,8 +202,7 @@ class CandidateEvaluator {
     });
   }
 
-  /// C ∪ {sources referenced by G}, sorted unique — the sources every
-  /// feasible candidate must contain (the "permanently tabu" region).
+  /// RequiredSources(spec()), computed once.
   const std::vector<SourceId>& required_sources() const { return required_; }
 
   /// Sources no feasible candidate may contain, sorted unique.
@@ -289,6 +292,9 @@ class CandidateEvaluator {
     /// Signature admitted by the policy and present on the source.
     bool admitted = false;
     bool degraded = false;
+    /// Signature present and counted in the universe-wide |∪U|.
+    bool in_universe_union = false;
+    /// Present whenever the source has a signature, admitted or not.
     const DistinctSignature* signature = nullptr;
     /// Raw sketch words when the signature is a PcsaSignature.
     const std::vector<uint32_t>* pcsa_words = nullptr;
@@ -301,9 +307,12 @@ class CandidateEvaluator {
   /// QualityModel::Evaluate with the scorer tables.
   QualityBreakdown Score(const std::vector<SourceId>& candidate,
                          double union_estimate, MatchResult* match) const;
-  /// |∪S| over the admitted members, from scratch: word ORs on the
-  /// uniform-PCSA table, MakeContext's Clone+MergeFrom otherwise.
-  double UnionFromScratch(const std::vector<SourceId>& candidate) const;
+  /// Estimated union of the `rows` whose `counted` bit is set (by default
+  /// |∪S| over a candidate's admitted members), from scratch: word ORs on
+  /// the uniform-PCSA table, MakeContext's Clone+MergeFrom otherwise.
+  double UnionFromScratch(
+      const std::vector<SourceId>& rows,
+      bool SourceEntry::*counted = &SourceEntry::admitted) const;
   /// The word buffer unions are ORed into, one per thread: the misses of a
   /// batch may run concurrently on a pool.
   static std::vector<uint32_t>& UnionScratch();
@@ -444,11 +453,12 @@ class CandidateEvaluator {
   uint64_t spec_fingerprint_ = 0;
   bool needs_match_ = false;
   /// The universe-wide work hoisted out of Evaluate (see the class comment).
-  QualityModel::Denominators denominators_;
   std::vector<std::unique_ptr<QefDeltaScorer>> scorers_;  // parallel to QEFs
   std::vector<SourceEntry> sources_;                       // by SourceId
-  /// True when every admitted signature is a PcsaSignature of `words_`
-  /// bitmaps, so unions are word ORs.
+  int64_t universe_cardinality_ = 0;
+  double universe_union_estimate_ = 0.0;
+  /// True when every signature is a PcsaSignature of `words_` bitmaps, so
+  /// unions are word ORs.
   bool pcsa_uniform_ = true;
   size_t words_ = 0;
   /// The valid, empty Match result a model without a matching QEF scores

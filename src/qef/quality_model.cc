@@ -166,19 +166,6 @@ QualityModel::SourcePolicy QualityModel::PolicyFor(
   return out;
 }
 
-QualityModel::Denominators QualityModel::UniverseDenominators(
-    const Universe& universe) const {
-  Denominators out;
-  if (degradation_.policy == DegradationPolicy::kExcludeRenormalize) {
-    out.cardinality = universe.FreshCardinality();
-    out.union_estimate = universe.FreshUnionCardinalityEstimate();
-  } else {
-    out.cardinality = universe.TotalCardinality();
-    out.union_estimate = universe.UnionCardinalityEstimate();
-  }
-  return out;
-}
-
 EvalContext QualityModel::MakeContext(const Universe& universe,
                                       const std::vector<SourceId>& sources,
                                       const MatchResult* match) const {
@@ -211,9 +198,13 @@ EvalContext QualityModel::MakeContext(const Universe& universe,
     }
   }
   ctx.union_estimate = union_sig == nullptr ? 0.0 : union_sig->Estimate();
-  const Denominators denominators = UniverseDenominators(universe);
-  ctx.universe_cardinality = denominators.cardinality;
-  ctx.universe_union_estimate = denominators.union_estimate;
+  if (degradation_.policy == DegradationPolicy::kExcludeRenormalize) {
+    ctx.universe_cardinality = universe.FreshCardinality();
+    ctx.universe_union_estimate = universe.FreshUnionCardinalityEstimate();
+  } else {
+    ctx.universe_cardinality = universe.TotalCardinality();
+    ctx.universe_union_estimate = universe.UnionCardinalityEstimate();
+  }
   return ctx;
 }
 

@@ -101,20 +101,12 @@ class QualityModel {
   };
   SourcePolicy PolicyFor(const DataSource& source) const;
 
-  /// The universe-wide denominators of the data QEFs under the active
-  /// degradation policy: Card's Σ_{t∈U}|t| and Coverage's estimated |∪U|
-  /// (both restricted to fresh sources under kExcludeRenormalize). They
-  /// depend only on the universe, so an evaluator computes them once.
-  struct Denominators {
-    int64_t cardinality = 0;
-    double union_estimate = 0.0;
-  };
-  Denominators UniverseDenominators(const Universe& universe) const;
-
   /// Builds the evaluation context for candidate `sources` (precomputes the
   /// shared aggregates). `match` may be null iff !NeedsMatching(). Reads
-  /// no precomputed table, so it is the ground truth the evaluator's tables
-  /// are checked against.
+  /// no precomputed table and recomputes the universe-wide denominators
+  /// (Card's Σ_{t∈U}|t| and Coverage's estimated |∪U|, both over the fresh
+  /// sources only under kExcludeRenormalize) on every call, so it is the
+  /// ground truth the evaluator's tables are checked against.
   EvalContext MakeContext(const Universe& universe,
                           const std::vector<SourceId>& sources,
                           const MatchResult* match) const;

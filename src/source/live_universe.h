@@ -32,8 +32,9 @@ namespace ube {
 ///    schema drift (attribute rename/add/drop) only recomputes edges
 ///    incident to the changed attribute.
 ///  - Fresh*/union aggregates and the compound-universe builder see the
-///    mutated universe consistently (Universe's lazy caches are dirtied by
-///    every mutation path used here).
+///    mutated universe consistently: Universe keeps no derived state, so
+///    every aggregate is recomputed from the sources as they are after the
+///    last Apply.
 ///  - A re-added source (revive or brand-new id reuse) starts with clean
 ///    acquisition health: health().Reset(id) on every add, so it never
 ///    inherits the previous occupant's breaker state or backoff budget.

@@ -1,11 +1,31 @@
 #include "source/universe.h"
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 
 #include "util/check.h"
 
 namespace ube {
+
+namespace {
+
+/// Estimated |∪| over the cooperating sources (only the fresh ones when
+/// `fresh_only`): the first signature cloned, the rest merged in id order.
+double UnionEstimate(const std::vector<DataSource>& sources, bool fresh_only) {
+  std::unique_ptr<DistinctSignature> union_sig;
+  for (const DataSource& s : sources) {
+    if (!s.has_signature() || (fresh_only && !s.stats_fresh())) continue;
+    if (union_sig == nullptr) {
+      union_sig = s.signature().Clone();
+    } else {
+      union_sig->MergeFrom(s.signature());
+    }
+  }
+  return union_sig == nullptr ? 0.0 : union_sig->Estimate();
+}
+
+}  // namespace
 
 std::string_view StatsStateName(StatsState state) {
   switch (state) {
@@ -47,8 +67,6 @@ std::optional<double> DataSource::GetCharacteristic(
 
 SourceId Universe::AddSource(DataSource source) {
   sources_.push_back(std::move(source));
-  union_dirty_ = true;
-  fresh_union_dirty_ = true;
   return static_cast<SourceId>(sources_.size() - 1);
 }
 
@@ -59,8 +77,6 @@ const DataSource& Universe::source(SourceId id) const {
 
 DataSource* Universe::mutable_source(SourceId id) {
   UBE_CHECK(id >= 0 && id < num_sources(), "SourceId out of range");
-  union_dirty_ = true;
-  fresh_union_dirty_ = true;
   return &sources_[static_cast<size_t>(id)];
 }
 
@@ -99,46 +115,12 @@ int64_t Universe::FreshCardinality() const {
   return total;
 }
 
-const DistinctSignature* Universe::UnionSignature() const {
-  if (union_dirty_) {
-    union_signature_.reset();
-    for (const DataSource& s : sources_) {
-      if (!s.has_signature()) continue;
-      if (union_signature_ == nullptr) {
-        union_signature_ = s.signature().Clone();
-      } else {
-        union_signature_->MergeFrom(s.signature());
-      }
-    }
-    union_dirty_ = false;
-  }
-  return union_signature_.get();
-}
-
 double Universe::UnionCardinalityEstimate() const {
-  const DistinctSignature* sig = UnionSignature();
-  return sig == nullptr ? 0.0 : sig->Estimate();
-}
-
-const DistinctSignature* Universe::FreshUnionSignature() const {
-  if (fresh_union_dirty_) {
-    fresh_union_signature_.reset();
-    for (const DataSource& s : sources_) {
-      if (!s.stats_fresh() || !s.has_signature()) continue;
-      if (fresh_union_signature_ == nullptr) {
-        fresh_union_signature_ = s.signature().Clone();
-      } else {
-        fresh_union_signature_->MergeFrom(s.signature());
-      }
-    }
-    fresh_union_dirty_ = false;
-  }
-  return fresh_union_signature_.get();
+  return UnionEstimate(sources_, /*fresh_only=*/false);
 }
 
 double Universe::FreshUnionCardinalityEstimate() const {
-  const DistinctSignature* sig = FreshUnionSignature();
-  return sig == nullptr ? 0.0 : sig->Estimate();
+  return UnionEstimate(sources_, /*fresh_only=*/true);
 }
 
 int Universe::num_available() const {

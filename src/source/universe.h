@@ -1,7 +1,6 @@
 #ifndef UBE_SOURCE_UNIVERSE_H_
 #define UBE_SOURCE_UNIVERSE_H_
 
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,9 +13,11 @@ namespace ube {
 /// The universe U = {s_1, ..., s_N}: all data sources µBE may choose from
 /// (Section 2.1; "hundreds to a few thousands of sources").
 ///
-/// Owns the sources; SourceId is the index into this container. Also caches
-/// the union signature and total cardinality over all of U, which the
-/// Coverage and Card QEFs use as denominators.
+/// Owns the sources; SourceId is the index into this container. A plain
+/// container: it keeps no derived state, so every aggregate over U (the
+/// Card and Coverage denominators below) is computed from the sources on
+/// each call. An evaluator computes the ones it needs once, when it is
+/// built.
 class Universe {
  public:
   Universe() = default;
@@ -56,19 +57,12 @@ class Universe {
   /// denominator under the exclude-and-renormalize degradation policy.
   int64_t FreshCardinality() const;
 
-  /// Union signature over every cooperating source in U (the |∪U|
-  /// denominator of Coverage). Null when no source has a signature.
-  /// Computed on first use and cached; invalidated by AddSource and by
-  /// mutable_source (conservatively).
-  const DistinctSignature* UnionSignature() const;
-
-  /// Estimated |∪U| (0 when no source cooperates).
+  /// Estimated |∪U| over every cooperating source — the Coverage
+  /// denominator (0 when no source cooperates).
   double UnionCardinalityEstimate() const;
 
-  /// Same pair restricted to available sources with fresh statistics — the
-  /// Coverage denominator under exclude-and-renormalize. Cached like
-  /// UnionSignature.
-  const DistinctSignature* FreshUnionSignature() const;
+  /// Same, restricted to available sources with fresh statistics — the
+  /// Coverage denominator under exclude-and-renormalize.
   double FreshUnionCardinalityEstimate() const;
 
   /// Sources acquisition did not drop (all of them for a universe that
@@ -83,10 +77,6 @@ class Universe {
 
  private:
   std::vector<DataSource> sources_;
-  mutable std::unique_ptr<DistinctSignature> union_signature_;
-  mutable bool union_dirty_ = true;
-  mutable std::unique_ptr<DistinctSignature> fresh_union_signature_;
-  mutable bool fresh_union_dirty_ = true;
 };
 
 }  // namespace ube

@@ -65,8 +65,12 @@ class Parser {
 
   Result<Value> ParseObject() {
     ++pos_;  // '{'
-    Object object;
-    if (Consume('}')) return Value{std::move(object)};
+    // The object is built in place inside the result: GCC 12 flags the
+    // destructor of a moved-from Value{Object} temporary as reading an
+    // uninitialized variant alternative (-Wmaybe-uninitialized).
+    Result<Value> out = Value{};
+    Object& object = out->data.emplace<Object>();
+    if (Consume('}')) return out;
     while (true) {
       SkipWhitespace();
       Result<Value> key = ParseString();
@@ -76,7 +80,7 @@ class Parser {
       if (!value.ok()) return value;
       object[std::get<std::string>(key->data)] = std::move(*value);
       if (Consume(',')) continue;
-      if (Consume('}')) return Value{std::move(object)};
+      if (Consume('}')) return out;
       return Error("expected ',' or '}' in object");
     }
   }

@@ -59,8 +59,10 @@ constexpr DegradationPolicy kPolicies[] = {
     DegradationPolicy::kExcludeRenormalize};
 
 // A random universe with some statistics degraded (stale, partial,
-// missing), so PolicyFor actually has cases to decide (weights, admission,
-// denominators) — fresh-only universes make every policy a no-op.
+// missing) and some fresh sources unavailable, so PolicyFor and the
+// denominators' fresh rule actually have cases to decide (weights,
+// admission, denominators) — fresh-only universes make every policy a
+// no-op.
 Universe DegradedUniverse(Rng& rng, bool exact_signatures,
                           double characteristic_probability = 1.0) {
   testkit::UniverseGenOptions gen;
@@ -77,6 +79,10 @@ Universe DegradedUniverse(Rng& rng, bool exact_signatures,
       universe.mutable_source(s)->set_stats_state(StatsState::kPartial);
     } else if (roll < 0.25) {
       universe.mutable_source(s)->set_stats_state(StatsState::kMissing);
+    } else if (roll < 0.30) {
+      // Fresh but unavailable: admitted under kExcludeRenormalize, yet
+      // outside its fresh denominators.
+      universe.mutable_source(s)->set_available(false);
     }
   }
   return universe;

@@ -267,7 +267,9 @@ TEST(MonotonicityTest, ThetaTighteningOnlyShrinksSchema) {
     ASSERT_TRUE(at_loose.ok()) << at_loose.status();
     ASSERT_TRUE(at_tight.ok()) << at_tight.status();
 
-    if (at_tight->valid) EXPECT_TRUE(at_loose->valid);
+    if (at_tight->valid) {
+      EXPECT_TRUE(at_loose->valid);
+    }
     EXPECT_LE(at_tight->schema.TotalAttributes(),
               at_loose->schema.TotalAttributes());
     // Note: strict GA-level subsumption M(θ_high) ⊑ M(θ_low) is *not*
@@ -278,7 +280,9 @@ TEST(MonotonicityTest, ThetaTighteningOnlyShrinksSchema) {
     // Structural sanity at both thresholds.
     for (const MatchResult* r : {&*at_loose, &*at_tight}) {
       EXPECT_TRUE(r->schema.GasAreDisjointAndValid());
-      if (r->valid) EXPECT_TRUE(r->schema.IsValidOn(sources));
+      if (r->valid) {
+        EXPECT_TRUE(r->schema.IsValidOn(sources));
+      }
       for (double q : r->ga_qualities) {
         EXPECT_GE(q, 0.0);
         EXPECT_LE(q, 1.0);
@@ -312,7 +316,9 @@ TEST(MonotonicityTest, BetaTighteningOnlyShrinksSchema) {
     ASSERT_TRUE(at_loose.ok()) << at_loose.status();
     ASSERT_TRUE(at_tight.ok()) << at_tight.status();
 
-    if (at_tight->valid) EXPECT_TRUE(at_loose->valid);
+    if (at_tight->valid) {
+      EXPECT_TRUE(at_loose->valid);
+    }
     EXPECT_LE(at_tight->schema.TotalAttributes(),
               at_loose->schema.TotalAttributes());
     EXPECT_TRUE(at_tight->schema.IsSubsumedBy(at_loose->schema));

@@ -91,42 +91,47 @@ TEST(UniverseTest, FindByNameReturnsFirstMatch) {
   EXPECT_EQ(found.value(), 0);
 }
 
-TEST(UniverseTest, UnionSignatureOverCooperatingSources) {
+TEST(UniverseTest, UnionEstimateOverCooperatingSources) {
   Universe u;
   u.AddSource(MakeSource("a", 10, 0, 10));    // ids [0, 10)
   u.AddSource(MakeSource("b", 10, 5, 10));    // ids [5, 15)
   u.AddSource(MakeSource("n", 10));           // uncooperative
-  const DistinctSignature* sig = u.UnionSignature();
-  ASSERT_NE(sig, nullptr);
-  EXPECT_DOUBLE_EQ(sig->Estimate(), 15.0);
   EXPECT_DOUBLE_EQ(u.UnionCardinalityEstimate(), 15.0);
+  EXPECT_DOUBLE_EQ(u.FreshUnionCardinalityEstimate(), 15.0);
 }
 
-TEST(UniverseTest, UnionSignatureNullWhenNoneCooperate) {
+TEST(UniverseTest, UnionEstimateZeroWhenNoneCooperate) {
   Universe u;
   u.AddSource(MakeSource("a", 10));
-  EXPECT_EQ(u.UnionSignature(), nullptr);
   EXPECT_DOUBLE_EQ(u.UnionCardinalityEstimate(), 0.0);
+  EXPECT_DOUBLE_EQ(u.FreshUnionCardinalityEstimate(), 0.0);
 }
 
-TEST(UniverseTest, UnionSignatureInvalidatedByAddSource) {
+// The universe keeps no derived state: every aggregate is recomputed from
+// the sources on each call, so a mutation shows on the next read.
+TEST(UniverseTest, UnionEstimateRecomputedAfterAddSource) {
   Universe u;
   u.AddSource(MakeSource("a", 10, 0, 10));
   EXPECT_DOUBLE_EQ(u.UnionCardinalityEstimate(), 10.0);
   u.AddSource(MakeSource("b", 10, 100, 5));
-  EXPECT_DOUBLE_EQ(u.UnionCardinalityEstimate(), 15.0);  // cache refreshed
+  EXPECT_DOUBLE_EQ(u.UnionCardinalityEstimate(), 15.0);
 }
 
-TEST(UniverseTest, UnionSignatureInvalidatedByMutableAccess) {
+TEST(UniverseTest, UnionEstimateRecomputedAfterMutableAccess) {
   Universe u;
   u.AddSource(MakeSource("a", 10, 0, 10));
-  EXPECT_DOUBLE_EQ(u.UnionCardinalityEstimate(), 10.0);
-  // Replace the signature through mutable_source; the cached union must be
-  // recomputed on next use.
+  u.AddSource(MakeSource("b", 10, 100, 5));
+  EXPECT_DOUBLE_EQ(u.UnionCardinalityEstimate(), 15.0);
   auto sig = std::make_unique<ExactSignature>();
   for (uint64_t i = 0; i < 3; ++i) sig->Add(i);
   u.mutable_source(0)->set_signature(std::move(sig));
-  EXPECT_DOUBLE_EQ(u.UnionCardinalityEstimate(), 3.0);
+  EXPECT_DOUBLE_EQ(u.UnionCardinalityEstimate(), 8.0);
+  EXPECT_DOUBLE_EQ(u.FreshUnionCardinalityEstimate(), 8.0);
+  // A fresh but unavailable source leaves the fresh union only.
+  u.mutable_source(1)->set_available(false);
+  EXPECT_DOUBLE_EQ(u.UnionCardinalityEstimate(), 8.0);
+  EXPECT_DOUBLE_EQ(u.FreshUnionCardinalityEstimate(), 3.0);
+  EXPECT_EQ(u.FreshCardinality(), 10);
 }
 
 TEST(UniverseDeathTest, OutOfRangeAccess) {
@@ -140,7 +145,9 @@ TEST(UniverseDeathTest, OutOfRangeAccess) {
 TEST(UniverseTest, EmptyUniverseAggregates) {
   Universe u;
   EXPECT_EQ(u.TotalCardinality(), 0);
-  EXPECT_EQ(u.UnionSignature(), nullptr);
+  EXPECT_EQ(u.FreshCardinality(), 0);
+  EXPECT_DOUBLE_EQ(u.UnionCardinalityEstimate(), 0.0);
+  EXPECT_DOUBLE_EQ(u.FreshUnionCardinalityEstimate(), 0.0);
   EXPECT_TRUE(u.AllIds().empty());
 }
 
