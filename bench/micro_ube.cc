@@ -1,7 +1,9 @@
 // google-benchmark micro-benchmarks for the µBE building blocks: string
 // similarity, PCSA operations, the similarity-graph build, Match(S)
-// clustering, and full candidate evaluation. These are the per-call costs
-// that the figure benches aggregate.
+// clustering, full candidate evaluation and the quality store. These are the
+// per-call costs that the figure benches aggregate.
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -194,6 +196,116 @@ void BM_CandidateEvaluation(benchmark::State& state) {
 }
 BENCHMARK(BM_CandidateEvaluation)->Unit(benchmark::kMicrosecond);
 
+// The quality store (SharedQualityCache), one operation at a time on one
+// thread: a store holding state.range(0) entries of |S| = 20 under one spec
+// fingerprint, as a session's solves fill a server's store. Candidates
+// [0, entries) are stored, [entries, 2 * entries) never are.
+class StoreFixture {
+ public:
+  static constexpr uint64_t kFingerprint = 0x5bec;
+
+  explicit StoreFixture(size_t entries) : entries_(entries) {
+    ube::Rng rng(entries);
+    candidates_.resize(2 * entries);
+    keys_.resize(2 * entries);
+    for (size_t i = 0; i < candidates_.size(); ++i) {
+      std::vector<ube::SourceId>& c = candidates_[i];
+      c.resize(20);
+      for (ube::SourceId& s : c) {
+        s = static_cast<ube::SourceId>(rng.UniformInt(0, 999));
+      }
+      std::sort(c.begin(), c.end());
+      keys_[i] = rng.Next64();
+    }
+    Fill();
+  }
+
+  void Fill() {
+    for (size_t i = 0; i < entries_; ++i) Insert(i);
+  }
+  void Insert(size_t i) {
+    store_.Insert(kFingerprint, keys_[i], candidates_[i], 0.5);
+  }
+  ube::SharedQualityCache::Probe Lookup(size_t i, double* quality) const {
+    return store_.Lookup(kFingerprint, keys_[i], candidates_[i], quality);
+  }
+
+  ube::SharedQualityCache& store() { return store_; }
+  size_t entries() const { return entries_; }
+
+ private:
+  size_t entries_;
+  std::vector<std::vector<ube::SourceId>> candidates_;
+  std::vector<uint64_t> keys_;
+  ube::SharedQualityCache store_;
+};
+
+// A miss and the insert that follows it. Every entries / 10 inserts the
+// store is cleared and refilled, untimed, so it stays within 10% of its
+// nominal size.
+void BM_StoreMissInsert(benchmark::State& state) {
+  StoreFixture fx(static_cast<size_t>(state.range(0)));
+  const size_t period = fx.entries() / 10;
+  size_t i = 0;
+  for (auto _ : state) {
+    if (i == period) {
+      state.PauseTiming();
+      fx.store().Clear();
+      fx.Fill();
+      i = 0;
+      state.ResumeTiming();
+    }
+    double quality = 0.0;
+    benchmark::DoNotOptimize(fx.Lookup(fx.entries() + i, &quality));
+    fx.Insert(fx.entries() + i);
+    ++i;
+  }
+}
+BENCHMARK(BM_StoreMissInsert)->Arg(20000)->Arg(200000);
+
+// A hit, verified against the stored fingerprint and candidate.
+void BM_StoreHit(benchmark::State& state) {
+  StoreFixture fx(static_cast<size_t>(state.range(0)));
+  size_t i = 0;
+  for (auto _ : state) {
+    double quality = 0.0;
+    benchmark::DoNotOptimize(fx.Lookup(i, &quality));
+    benchmark::DoNotOptimize(quality);
+    if (++i == fx.entries()) i = 0;
+  }
+}
+BENCHMARK(BM_StoreHit)->Arg(20000)->Arg(200000);
+
+// A miss: a candidate the store has never held.
+void BM_StoreMiss(benchmark::State& state) {
+  StoreFixture fx(static_cast<size_t>(state.range(0)));
+  size_t i = 0;
+  for (auto _ : state) {
+    double quality = 0.0;
+    benchmark::DoNotOptimize(fx.Lookup(fx.entries() + i, &quality));
+    if (++i == fx.entries()) i = 0;
+  }
+}
+BENCHMARK(BM_StoreMiss)->Arg(20000)->Arg(200000);
+
+// Clear() of a full store, refilled before each call. Only the clear is
+// timed, by hand: pausing the benchmark's own timer costs more than a
+// flat store's clear. A fixed iteration count, because a refill costs far
+// more than a clear.
+void BM_StoreClear(benchmark::State& state) {
+  StoreFixture fx(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    fx.store().Clear();
+    state.SetIterationTime(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count());
+    fx.Fill();
+  }
+}
+BENCHMARK(BM_StoreClear)->Arg(20000)->Arg(200000)->Iterations(16)
+    ->UseManualTime()->Unit(benchmark::kMicrosecond);
+
 void BM_WorkloadGeneration(benchmark::State& state) {
   for (auto _ : state) {
     ube::WorkloadConfig config;
@@ -288,7 +400,9 @@ void RunFlipSweep(ube::bench::BenchHarness& bench, bool delta_only,
 }
 
 // Console output as usual, plus every benchmark's per-iteration real time
-// harvested into the harness as `<name>_ns` for BENCH_micro_ube.json.
+// harvested into the harness as `<name>_ns` for BENCH_micro_ube.json. A
+// fixed iteration count and manual timing (BM_StoreClear) stay out of the
+// name.
 class MetricReporter : public benchmark::ConsoleReporter {
  public:
   explicit MetricReporter(ube::bench::BenchHarness* bench)
@@ -297,7 +411,10 @@ class MetricReporter : public benchmark::ConsoleReporter {
   void ReportRuns(const std::vector<Run>& reports) override {
     for (const Run& run : reports) {
       if (run.error_occurred || run.iterations <= 0) continue;
-      std::string key = run.benchmark_name();
+      benchmark::BenchmarkName name = run.run_name;
+      name.iterations.clear();
+      name.time_type.clear();
+      std::string key = name.str();
       for (char& c : key) {
         if (c == '/' || c == ':') c = '_';
       }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <new>
 #include <optional>
 #include <typeinfo>
 
@@ -87,25 +88,98 @@ uint64_t SharedQualityCache::SlotKey(uint64_t fingerprint,
   return mix_fingerprint_ ? SplitMix64(fingerprint ^ key) : key;
 }
 
+SharedQualityCache::Slot* SharedQualityCache::Shard::SlotFor(
+    uint64_t key) const {
+  // Load <= 1/2 guarantees an empty slot, so the probe terminates.
+  for (size_t i = key & mask;; i = (i + 1) & mask) {
+    Slot& slot = slots[i];
+    if (slot.epoch != epoch || slot.key == key) return &slot;
+  }
+}
+
+SharedQualityCache::Record& SharedQualityCache::Shard::RecordAt(
+    uint32_t ref) const {
+  static_assert(kChunkBytes == alignof(Record) << kOffsetBits,
+                "a record ref's offset must span exactly one chunk");
+  constexpr uint32_t kOffsetMask = (1u << kOffsetBits) - 1;
+  std::byte* at = chunks[ref >> kOffsetBits].bytes.get() +
+                  size_t{ref & kOffsetMask} * alignof(Record);
+  return *std::launder(reinterpret_cast<Record*>(at));
+}
+
+uint32_t SharedQualityCache::Shard::Append(size_t capacity) {
+  const size_t bytes =
+      (sizeof(Record) + capacity * sizeof(SourceId) + alignof(Record) - 1) /
+      alignof(Record) * alignof(Record);
+  if (used + bytes > kChunkBytes) {
+    // Open the next chunk. A record never spans chunks: one larger than a
+    // chunk gets a chunk of its own, and `used` then exceeds kChunkBytes so
+    // the next record opens another.
+    const size_t size = std::max(bytes, kChunkBytes);
+    if (next_chunk == chunks.size()) {
+      UBE_CHECK(next_chunk < (size_t{1} << (32 - kOffsetBits)),
+                "quality cache shard outgrew its record refs");
+      chunks.emplace_back();
+    }
+    Chunk& chunk = chunks[next_chunk];
+    if (chunk.size < size) {
+      chunk.bytes = std::make_unique_for_overwrite<std::byte[]>(size);
+      chunk.size = size;
+    }
+    ++next_chunk;
+    used = 0;
+  }
+  const uint32_t ref = static_cast<uint32_t>(
+      ((next_chunk - 1) << kOffsetBits) | (used / alignof(Record)));
+  new (chunks[next_chunk - 1].bytes.get() + used)
+      Record{0, 0.0, 0, static_cast<uint32_t>(capacity)};
+  used += bytes;
+  return ref;
+}
+
+void SharedQualityCache::Shard::Grow() {
+  const size_t old_size = slots == nullptr ? 0 : mask + 1;
+  const size_t new_size = old_size == 0 ? kInitialSlots : 2 * old_size;
+  std::unique_ptr<Slot[]> old = std::move(slots);
+  slots = std::make_unique<Slot[]>(new_size);
+  mask = new_size - 1;
+  for (size_t i = 0; i < old_size; ++i) {
+    if (old[i].epoch == epoch) *SlotFor(old[i].key) = old[i];
+  }
+}
+
+void SharedQualityCache::Shard::Reset() {
+  live = 0;
+  next_chunk = 0;
+  used = kChunkBytes;
+  if (++epoch == 0) {
+    // Wrapped: slots stamped 2^32 clears ago would read as live again.
+    if (slots != nullptr) std::fill_n(slots.get(), mask + 1, Slot{});
+    epoch = 1;
+  }
+}
+
 SharedQualityCache::Probe SharedQualityCache::Lookup(
     uint64_t fingerprint, uint64_t key, const std::vector<SourceId>& candidate,
     double* quality) const {
-  const uint64_t slot = SlotKey(fingerprint, key);
-  Shard& shard = ShardFor(slot);
+  const uint64_t slot_key = SlotKey(fingerprint, key);
+  Shard& shard = ShardFor(slot_key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(slot);
-  if (it == shard.map.end()) {
+  const Slot* slot =
+      shard.slots == nullptr ? nullptr : shard.SlotFor(slot_key);
+  if (slot == nullptr || slot->epoch != shard.epoch) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return Probe::kMiss;
   }
   // Verify fingerprint AND candidate: a slot collision between two specs
   // (or two candidates) must recompute, never cross-serve a tenant.
-  if (it->second.fingerprint != fingerprint ||
-      it->second.candidate != candidate) {
+  Record& record = shard.RecordAt(slot->record);
+  if (record.fingerprint != fingerprint || record.size != candidate.size() ||
+      !std::equal(candidate.begin(), candidate.end(), record.ids())) {
     rejects_.fetch_add(1, std::memory_order_relaxed);
     return Probe::kReject;
   }
-  *quality = it->second.quality;
+  *quality = record.quality;
   hits_.fetch_add(1, std::memory_order_relaxed);
   return Probe::kHit;
 }
@@ -113,15 +187,35 @@ SharedQualityCache::Probe SharedQualityCache::Lookup(
 bool SharedQualityCache::Insert(uint64_t fingerprint, uint64_t key,
                                 const std::vector<SourceId>& candidate,
                                 double quality) {
-  const uint64_t slot = SlotKey(fingerprint, key);
-  Shard& shard = ShardFor(slot);
+  const uint64_t slot_key = SlotKey(fingerprint, key);
+  Shard& shard = ShardFor(slot_key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  const bool evict = shard.map.size() >= max_entries_per_shard_;
+  // The bound is checked before the insert, even when the key is present.
+  const bool evict = shard.live >= max_entries_per_shard_;
   if (evict) {
-    shard.map.clear();
+    shard.Reset();
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
-  shard.map[slot] = Entry{fingerprint, candidate, quality};
+  if (shard.slots == nullptr) shard.Grow();
+  Slot* slot = shard.SlotFor(slot_key);
+  if (slot->epoch != shard.epoch) {
+    if (2 * (shard.live + 1) > shard.mask + 1) {
+      shard.Grow();
+      slot = shard.SlotFor(slot_key);
+    }
+    *slot = Slot{slot_key, shard.epoch, shard.Append(candidate.size())};
+    ++shard.live;
+  } else if (const size_t room = shard.RecordAt(slot->record).capacity;
+             room < candidate.size()) {
+    // Last writer wins. A larger candidate moves to a new record with
+    // doubled room, so overwriting one slot cannot grow a shard unbounded.
+    slot->record = shard.Append(std::max(candidate.size(), 2 * room));
+  }
+  Record& record = shard.RecordAt(slot->record);
+  record.fingerprint = fingerprint;
+  record.quality = quality;
+  record.size = static_cast<uint32_t>(candidate.size());
+  std::copy(candidate.begin(), candidate.end(), record.ids());
   insertions_.fetch_add(1, std::memory_order_relaxed);
   return evict;
 }
@@ -129,7 +223,15 @@ bool SharedQualityCache::Insert(uint64_t fingerprint, uint64_t key,
 void SharedQualityCache::Clear() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
+    shard.Reset();
+  }
+}
+
+void SharedQualityCache::ClearToLastEpochForTesting() {
+  for (Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    shard.epoch = UINT32_MAX - 1;
+    shard.Reset();
   }
 }
 
@@ -147,7 +249,7 @@ size_t SharedQualityCache::size() const {
   size_t total = 0;
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.map.size();
+    total += shard.live;
   }
   return total;
 }

@@ -3,13 +3,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "matching/cluster_matcher.h"
@@ -37,11 +37,21 @@ class DeltaEvaluator;
 /// It is also the only quality cache: every CandidateEvaluator owns one
 /// instance and memoizes through it unless another one is attached.
 ///
-/// Thread safety: Lookup/Insert are internally synchronized (16 shards,
-/// each with its own mutex and bounded map, so concurrent probes only
-/// contend when they land on the same shard) and safe from any number of
-/// concurrent sessions. Clear() is safe too but racing solvers may
-/// re-insert immediately.
+/// Layout: 16 shards, chosen by the top 4 bits of the slot key. Each shard
+/// holds one open-addressing table of 16-byte slots {slot key, epoch,
+/// record ref}, probed linearly at load <= 1/2, and keeps every entry's
+/// fingerprint, quality and candidate inline as one record in 4 KB chunks
+/// (a candidate too large for a chunk gets a chunk of its own). A slot is
+/// live only while its epoch equals the shard's, so Clear() and a full
+/// shard's eviction bump the epoch and rewind the chunk cursor: O(1), no
+/// free per entry. A shard keeps its table and chunks until the store is
+/// destroyed; they never grow past what its bound of entries needs, and a
+/// store allocates nothing until its first insert.
+///
+/// Thread safety: Lookup/Insert are internally synchronized (one mutex per
+/// shard, so concurrent probes only contend when they land on the same
+/// shard) and safe from any number of concurrent sessions. Clear() is safe
+/// too but racing solvers may re-insert immediately.
 class SharedQualityCache {
  public:
   explicit SharedQualityCache(size_t max_entries_per_shard = 1u << 14);
@@ -80,15 +90,57 @@ class SharedQualityCache {
   /// verify-on-hit rejection path is exercised deterministically.
   void SetIdentityMixForTesting() { mix_fingerprint_ = false; }
 
+  /// Test hook: clears every shard the way 2^32 - 2 Clear() calls on a
+  /// fresh store would, leaving each epoch one Clear() short of wrapping.
+  void ClearToLastEpochForTesting();
+
  private:
-  struct Entry {
-    uint64_t fingerprint = 0;
-    std::vector<SourceId> candidate;
-    double quality = 0.0;
+  static constexpr int kShardBits = 4;
+  static constexpr size_t kNumShards = 1u << kShardBits;
+  static constexpr size_t kChunkBytes = 4096;
+  static constexpr int kOffsetBits = 9;  // 8-byte offsets in a 4 KB chunk
+  static constexpr size_t kInitialSlots = 64;
+
+  /// One table slot. It is live iff `epoch` equals its shard's epoch;
+  /// epochs start at 1, so a zeroed slot is empty.
+  struct Slot {
+    uint64_t key = 0;
+    uint32_t epoch = 0;
+    uint32_t record = 0;  ///< (chunk index << kOffsetBits) | 8-byte offset
+  };
+  static_assert(sizeof(Slot) == 16);
+  /// An entry as stored in a chunk: this header, then `capacity` SourceIds
+  /// of which the first `size` are the candidate.
+  struct Record {
+    uint64_t fingerprint;
+    double quality;
+    uint32_t size;
+    uint32_t capacity;
+    SourceId* ids() { return reinterpret_cast<SourceId*>(this + 1); }
+  };
+  struct Chunk {
+    std::unique_ptr<std::byte[]> bytes;
+    size_t size = 0;
   };
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<uint64_t, Entry> map;
+    uint32_t epoch = 1;
+    size_t live = 0;                ///< entries stored under `epoch`
+    std::unique_ptr<Slot[]> slots;  ///< null until the first insert
+    size_t mask = 0;                ///< slot count - 1 (a power of two)
+    std::vector<Chunk> chunks;      ///< kept across clears
+    size_t next_chunk = 0;          ///< chunks [0, next_chunk) hold records
+    size_t used = kChunkBytes;      ///< bytes taken in chunks[next_chunk-1]
+
+    /// The live slot holding `key`, else the empty slot it would take.
+    Slot* SlotFor(uint64_t key) const;
+    Record& RecordAt(uint32_t ref) const;
+    /// Places a record with room for `capacity` ids; returns its ref.
+    uint32_t Append(size_t capacity);
+    /// Allocates the table, or doubles it and re-slots the live entries.
+    void Grow();
+    /// Drops every entry in O(1): bumps the epoch, rewinds the chunks.
+    void Reset();
   };
 
   uint64_t SlotKey(uint64_t fingerprint, uint64_t key) const;
@@ -96,8 +148,6 @@ class SharedQualityCache {
     return shards_[slot >> (64 - kShardBits)];
   }
 
-  static constexpr int kShardBits = 4;
-  static constexpr size_t kNumShards = 1u << kShardBits;
   mutable Shard shards_[kNumShards];
   size_t max_entries_per_shard_;
   bool mix_fingerprint_ = true;
@@ -381,11 +431,15 @@ class CandidateEvaluator {
     // a candidate appearing twice in one batch is computed once and the
     // second occurrence counts as a cache hit — exactly what a sequence of
     // Quality() calls would do. kResolved marks entries answered from cache.
+    // `first` is an open-addressing table over the misses, sized to the
+    // batch (load <= 1/2, linear probing): a cell holds 1 + a position in
+    // `misses`, or 0 when empty.
     constexpr ptrdiff_t kResolved = -1;
     std::vector<ptrdiff_t> miss_of(n, kResolved);  // index into `misses`
     std::vector<size_t> misses;                    // first occurrence indices
     std::vector<uint64_t> miss_keys;
-    std::unordered_map<uint64_t, std::vector<size_t>> pending;  // key → misses
+    const size_t mask = std::bit_ceil(2 * n) - 1;
+    std::vector<size_t> first(mask + 1, 0);
     int64_t hits = 0;
     for (size_t i = 0; i < n; ++i) {
       const std::vector<SourceId>& candidate = candidates[i];
@@ -394,19 +448,20 @@ class CandidateEvaluator {
         ++hits;
         continue;
       }
-      std::vector<size_t>& bucket = pending[key];
-      bool duplicate = false;
-      for (size_t pos : bucket) {
-        if (candidates[misses[pos]] == candidate) {
-          miss_of[i] = static_cast<ptrdiff_t>(pos);
-          ++hits;
-          duplicate = true;
+      size_t cell = key & mask;
+      for (; first[cell] != 0; cell = (cell + 1) & mask) {
+        const size_t pos = first[cell] - 1;
+        if (miss_keys[pos] == key && candidates[misses[pos]] == candidate) {
           break;
         }
       }
-      if (duplicate) continue;
+      if (first[cell] != 0) {
+        miss_of[i] = static_cast<ptrdiff_t>(first[cell] - 1);
+        ++hits;
+        continue;
+      }
       miss_of[i] = static_cast<ptrdiff_t>(misses.size());
-      bucket.push_back(misses.size());
+      first[cell] = misses.size() + 1;
       misses.push_back(i);
       miss_keys.push_back(key);
     }
