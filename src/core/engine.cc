@@ -136,12 +136,20 @@ Result<Solution> Engine::Solve(const ProblemSpec& spec, SolverKind solver,
 Result<ContinuousReport> Engine::RunContinuous(
     const ProblemSpec& spec, const ChurnTrace& trace,
     const ContinuousOptions& options) {
-  if (options.batch_ms <= 0.0) {
+  // Negated comparisons, so that a NaN fails each check.
+  if (!(options.batch_ms > 0.0)) {
     return Status::InvalidArgument("ContinuousOptions::batch_ms must be > 0");
   }
-  if (options.escalation_fraction < 0.0 || options.escalation_fraction > 1.0) {
+  if (!(options.escalation_fraction >= 0.0 &&
+        options.escalation_fraction <= 1.0)) {
     return Status::InvalidArgument(
         "ContinuousOptions::escalation_fraction must be in [0, 1]");
+  }
+  // The budget controller is built even when it is disabled, and clamps
+  // into this range.
+  if (options.adaptive.min_eval_budget > options.adaptive.max_eval_budget) {
+    return Status::InvalidArgument(
+        "AdaptiveRepairOptions::min_eval_budget must be <= max_eval_budget");
   }
 
   ContinuousReport report;
@@ -254,7 +262,6 @@ Result<ContinuousReport> Engine::RunContinuous(
       }
       step.repair_budget = repair.eval_budget;
       repair.num_threads = options.solver_options.num_threads;
-      repair.delta_eval = options.solver_options.delta_eval;
       repair.clock = options.solver_options.clock;
       if (repair.obs == nullptr) repair.obs = obs_;
       if (obs_ != nullptr) {

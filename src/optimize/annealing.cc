@@ -35,7 +35,7 @@ Result<Solution> AnnealingSolver::Solve(const CandidateEvaluator& evaluator,
   std::vector<SourceId> warm = internal::ValidWarmStart(evaluator, options);
   SearchState state = warm.empty() ? SearchState(evaluator, rng)
                                    : SearchState(evaluator, std::move(warm));
-  double current = run.delta().Quality(state.sources());
+  double current = run.evaluator().Quality(state.sources());
   std::vector<SourceId> best = state.sources();
   double best_quality = current;
   run.Improved(best_quality);

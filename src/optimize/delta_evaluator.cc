@@ -86,47 +86,20 @@ double DeltaEvaluator::UnionForMove(const SearchState::Move& move) const {
   return PcsaSketch::EstimateFromBitmaps(scratch);
 }
 
-double DeltaEvaluator::Miss(const std::vector<SourceId>& candidate,
-                            const SearchState::Move* move) const {
-  const double union_estimate = move != nullptr && evaluator_.pcsa_uniform_
-                                    ? UnionForMove(*move)
-                                    : evaluator_.UnionFromScratch(candidate);
-  return evaluator_.Score(candidate, union_estimate, nullptr).overall;
-}
-
-QualityBreakdown DeltaEvaluator::Compute(
-    const std::vector<SourceId>& candidate) {
-  return evaluator_.Score(candidate, evaluator_.UnionFromScratch(candidate),
-                          nullptr);
-}
-
-double DeltaEvaluator::Quality(const std::vector<SourceId>& candidate) {
-  if (!active_) return evaluator_.Quality(candidate);
-  return evaluator_.Memoized(candidate,
-                             [this](const std::vector<SourceId>& c) {
-                               return Miss(c, nullptr);
-                             });
-}
-
-std::vector<double> DeltaEvaluator::ScoreCandidates(
-    std::span<const std::vector<SourceId>> candidates, ThreadPool* pool) {
-  if (!active_) return evaluator_.QualityBatch(candidates, pool);
-  return evaluator_.MemoizedBatch(
-      candidates, MissPool(pool),
-      [&](size_t i) { return Miss(candidates[i], nullptr); });
-}
-
 std::vector<double> DeltaEvaluator::ScoreNeighborhood(
     const std::vector<SourceId>& base, std::span<const SearchState::Move> moves,
     std::span<const std::vector<SourceId>> candidates, ThreadPool* pool) {
   UBE_DCHECK(moves.size() == candidates.size(),
              "moves and candidates must be parallel");
-  if (!active_) return evaluator_.QualityBatch(candidates, pool);
+  if (!active_ || !evaluator_.pcsa_uniform_) {
+    return evaluator_.QualityBatch(candidates, pool);
+  }
   // A candidate is never empty, so the initially empty base_ never matches.
-  if (evaluator_.pcsa_uniform_ && base_ != base) Rebase(base);
-  return evaluator_.MemoizedBatch(
-      candidates, MissPool(pool),
-      [&](size_t i) { return Miss(candidates[i], &moves[i]); });
+  if (base_ != base) Rebase(base);
+  return evaluator_.MemoizedBatch(candidates, pool, [&](size_t i) {
+    return evaluator_.Score(candidates[i], UnionForMove(moves[i]), nullptr)
+        .overall;
+  });
 }
 
 }  // namespace ube

@@ -406,6 +406,16 @@ Status CandidateEvaluator::ValidateSpec(const Universe& universe,
 
 CandidateEvaluator::Evaluation CandidateEvaluator::Evaluate(
     const std::vector<SourceId>& candidate) const {
+  Evaluation out;
+  out.breakdown = Score(candidate, UnionFromScratch(candidate), &out.match);
+  out.quality = out.breakdown.overall;
+  if (!needs_match_) out.match = no_match_;
+  return out;
+}
+
+QualityBreakdown CandidateEvaluator::Score(
+    const std::vector<SourceId>& candidate, double union_estimate,
+    MatchResult* match) const {
   UBE_DCHECK(std::is_sorted(candidate.begin(), candidate.end()),
              "candidate must be sorted");
   UBE_DCHECK(!candidate.empty() &&
@@ -419,17 +429,6 @@ CandidateEvaluator::Evaluation CandidateEvaluator::Evaluate(
     UBE_DCHECK(!IsBanned(s), "candidate contains a banned source");
   }
 #endif
-
-  Evaluation out;
-  out.breakdown = Score(candidate, UnionFromScratch(candidate), &out.match);
-  out.quality = out.breakdown.overall;
-  if (!needs_match_) out.match = no_match_;
-  return out;
-}
-
-QualityBreakdown CandidateEvaluator::Score(
-    const std::vector<SourceId>& candidate, double union_estimate,
-    MatchResult* match) const {
   CountEvaluation();
   EvalContext ctx;
   ctx.universe = &universe_;

@@ -162,13 +162,14 @@ class SharedQualityCache {
 /// Match(S, C, G) when the model needs it, builds the QEF context and
 /// returns Q(S). Infeasible candidates (Match invalid on C) score 0.
 ///
-/// Because tabu search revisits neighbourhoods, Quality() memoizes Q(S) in
-/// a SharedQualityCache: the evaluator's own instance, or one attached with
-/// AttachSharedCache. Entries store the full candidate next to the value
-/// and verify it on every hit — a 64-bit hash collision therefore
-/// recomputes instead of silently returning the wrong quality. A shard that
-/// reaches its bound evicts only itself (per-shard clear), never the whole
-/// cache. Full Evaluate() (with schema and breakdown) always computes.
+/// Because tabu search revisits neighbourhoods, Quality() and
+/// QualityBatch() memoize Q(S) in a SharedQualityCache: the evaluator's own
+/// instance, or one attached with AttachSharedCache. Entries store the full
+/// candidate next to the value and verify it on every hit — a 64-bit hash
+/// collision therefore recomputes instead of silently returning the wrong
+/// quality. A shard that reaches its bound evicts only itself (per-shard
+/// clear), never the whole cache. Full Evaluate() (with schema and
+/// breakdown) always computes.
 ///
 /// Everything a score needs that depends only on the universe is computed
 /// once, at construction: the per-source table (cardinality,
@@ -178,8 +179,9 @@ class SharedQualityCache {
 /// scores candidates) and each QEF's MakeDeltaScorer table (null for the
 /// matching and lambda QEFs, which are scored through Qef::Evaluate).
 /// Every Q(S), for every model, is computed from these tables by one
-/// private Score: Evaluate hands it a union taken from scratch, and a
-/// DeltaEvaluator over this evaluator hands it its prefix/suffix union.
+/// private Score: Evaluate and QualityBatch hand it a union taken from
+/// scratch, and a DeltaEvaluator over this evaluator hands it its
+/// prefix/suffix union.
 ///
 /// Thread safety: Quality(), QualityBatch(), Evaluate() and the counters
 /// are safe to call concurrently (the referenced Universe/ClusterMatcher/
@@ -193,7 +195,8 @@ class SharedQualityCache {
 /// the batch runs inline, on one worker, or on many: cache probing and
 /// intra-batch deduplication happen sequentially up front, only the cache
 /// misses (each a pure function of its candidate) are computed in
-/// parallel, and insertion happens sequentially afterwards.
+/// parallel, and insertion happens sequentially afterwards. Quality() is a
+/// batch of one.
 class CandidateEvaluator {
  public:
   /// All referees must outlive the evaluator. Call ValidateSpec (and
@@ -232,23 +235,23 @@ class CandidateEvaluator {
   /// errors).
   Evaluation Evaluate(const std::vector<SourceId>& candidate) const;
 
-  /// Q(S) only, memoized.
+  /// Q(S) only, memoized: QualityBatch over this one candidate.
   double Quality(const std::vector<SourceId>& candidate) const {
-    return Memoized(candidate, [this](const std::vector<SourceId>& c) {
-      return Evaluate(c).quality;
-    });
+    return QualityBatch(std::span(&candidate, 1))[0];
   }
 
   /// Q(S) for every candidate in `candidates` (same preconditions as
-  /// Quality), returned in input order. Cache misses are evaluated on
-  /// `pool` when given, inline otherwise; duplicates within the batch are
-  /// computed once and counted as cache hits, exactly as the equivalent
-  /// sequence of Quality() calls would count them.
+  /// Evaluate), returned in input order, each miss scored with its union
+  /// taken from scratch. Misses run on `pool` per MemoizedBatch's pool
+  /// rule; duplicates within the batch are computed once and counted as
+  /// cache hits, exactly as the equivalent sequence of Quality() calls
+  /// would count them.
   std::vector<double> QualityBatch(
       std::span<const std::vector<SourceId>> candidates,
       ThreadPool* pool = nullptr) const {
     return MemoizedBatch(candidates, pool, [this, candidates](size_t i) {
-      return Evaluate(candidates[i]).quality;
+      return Score(candidates[i], UnionFromScratch(candidates[i]), nullptr)
+          .overall;
     });
   }
 
@@ -268,9 +271,9 @@ class CandidateEvaluator {
   const QualityModel& model() const { return model_; }
 
   /// The weights every evaluation here runs under: the spec's weight
-  /// overlay when present, the model's weights otherwise. The delta path
-  /// copies these (not the model's) so full and delta scoring agree bitwise
-  /// under an overlay.
+  /// overlay when present, the model's weights otherwise. Score runs under
+  /// these, and a table-free reference must use them (not the model's) to
+  /// agree with it bitwise under an overlay.
   const std::vector<double>& effective_weights() const {
     return effective_weights_;
   }
@@ -315,9 +318,10 @@ class CandidateEvaluator {
   /// Attaches an observability context (null detaches). Records counters
   /// eval.computed / eval.cache_hit / eval.collision_recompute /
   /// eval.shard_eviction, histograms eval.batch_size /
-  /// eval.batch_latency_us, and an eval/batch span per QualityBatch. Like
-  /// BeginRun, not synchronized against concurrent evaluation — attach
-  /// before the search starts. Never changes any returned quality.
+  /// eval.batch_latency_us, and an eval/batch span per batch (a Quality
+  /// call is a batch of one). Like BeginRun, not synchronized against
+  /// concurrent evaluation — attach before the search starts. Never
+  /// changes any returned quality.
   void AttachObs(obs::ObsContext* obs) const;
   void DetachObs() const { AttachObs(nullptr); }
 
@@ -328,8 +332,8 @@ class CandidateEvaluator {
 
  private:
   /// The delta path (optimize/delta_evaluator.h) shares this evaluator's
-  /// universe tables, Score, memo paths, counters and obs hooks so scores,
-  /// budgets and metrics stay identical with delta scoring on or off.
+  /// universe tables, Score and batch loop, so its scores, counters and
+  /// metrics are QualityBatch's.
   friend class DeltaEvaluator;
 
   /// One row of the per-source table: what MakeContext derives from a
@@ -350,7 +354,8 @@ class CandidateEvaluator {
     const std::vector<uint32_t>* pcsa_words = nullptr;
   };
 
-  /// The computation behind every Q(S): counts the evaluation, runs
+  /// The computation behind every Q(S): checks the candidate's
+  /// preconditions (debug builds), counts the evaluation, runs
   /// Match(S) into *match when the model needs it (`match` may be null when
   /// the caller has no use for the result), fills the context from the
   /// per-source table and `union_estimate`, and scores it through
@@ -390,28 +395,14 @@ class CandidateEvaluator {
   void CountEvaluation() const;
   void CountCacheHits(int64_t hits) const;
 
-  /// The memo path behind every single-candidate Q(S): a verified cache
-  /// hit, or `compute(candidate)` published to the cache. `compute` is the
-  /// per-miss computation (full Evaluate, or the delta path's).
-  template <typename Compute>
-  double Memoized(const std::vector<SourceId>& candidate,
-                  Compute compute) const {
-    const uint64_t key = CacheKey(candidate);
-    double quality = 0.0;
-    if (CacheLookup(key, candidate, &quality)) {
-      CountCacheHits(1);
-      return quality;
-    }
-    quality = compute(candidate);
-    CacheInsert(key, candidate, quality);
-    return quality;
-  }
-
-  /// The loop behind every batch of Q(S), with the per-miss computation
-  /// as a parameter: `compute(i)` scores candidates[i] (full Evaluate, or
-  /// the delta path's). Cache probing and intra-batch deduplication run
-  /// sequentially up front, only the unique misses are computed (on `pool`
-  /// when given), and publishing runs sequentially afterwards.
+  /// The loop behind every memoized Q(S), with the per-miss computation
+  /// as a parameter: `compute(i)` scores candidates[i] (a union from
+  /// scratch, or the delta path's flip union). Cache probing and
+  /// intra-batch deduplication run sequentially up front, only the unique
+  /// misses are computed, and publishing runs sequentially afterwards.
+  /// Pool rule: the misses run on `pool` when the model needs Match(S),
+  /// which dominates their cost, and inline otherwise, where each miss is
+  /// O(sketch words + |S|).
   template <typename ComputeMiss>
   std::vector<double> MemoizedBatch(
       std::span<const std::vector<SourceId>> candidates, ThreadPool* pool,
@@ -469,7 +460,7 @@ class CandidateEvaluator {
     // Phase 2: compute the unique misses — each a pure function of its
     // candidate, so index order (and thread count) cannot change any value.
     std::vector<double> computed(misses.size(), 0.0);
-    if (pool != nullptr && misses.size() > 1) {
+    if (pool != nullptr && needs_match_ && misses.size() > 1) {
       pool->ParallelFor(misses.size(),
                         [&](size_t j) { computed[j] = compute(misses[j]); });
     } else {

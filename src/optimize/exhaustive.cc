@@ -59,7 +59,7 @@ Result<Solution> ExhaustiveSolver::Solve(const CandidateEvaluator& evaluator,
   // the seed initializes the incumbent.
   std::vector<SourceId> warm = internal::ValidWarmStart(evaluator, options);
   if (!warm.empty()) {
-    best_quality = run.delta().Quality(warm);
+    best_quality = run.evaluator().Quality(warm);
     best = std::move(warm);
   }
 
@@ -71,7 +71,7 @@ Result<Solution> ExhaustiveSolver::Solve(const CandidateEvaluator& evaluator,
     std::sort(candidate.begin(), candidate.end());
     if (candidate.empty()) return;  // |S| >= 1 required
     ++iterations;
-    double quality = run.delta().Quality(candidate);
+    double quality = run.evaluator().Quality(candidate);
     if (quality > best_quality) {
       best_quality = quality;
       best = std::move(candidate);

@@ -39,7 +39,7 @@ Result<Solution> GreedySolver::Solve(const CandidateEvaluator& evaluator,
   // (seed, constructed) is better — never worse than the seed.
   std::vector<SourceId> warm = internal::ValidWarmStart(evaluator, options);
   double warm_quality = -1.0;
-  if (!warm.empty()) warm_quality = run.delta().Quality(warm);
+  if (!warm.empty()) warm_quality = run.evaluator().Quality(warm);
 
   // Seed: if no constraints, start from the best single source. All the
   // singletons are scored as one batch; ties keep the lowest id, as the
@@ -53,7 +53,7 @@ Result<Solution> GreedySolver::Solve(const CandidateEvaluator& evaluator,
       candidates.push_back({s});
     }
     std::vector<double> qualities =
-        run.delta().ScoreCandidates(candidates, run.pool());
+        run.evaluator().QualityBatch(candidates, run.pool());
     SourceId best_seed = -1;
     double best_quality = -1.0;
     for (size_t i = 0; i < seeds.size(); ++i) {
@@ -66,7 +66,7 @@ Result<Solution> GreedySolver::Solve(const CandidateEvaluator& evaluator,
     current.push_back(best_seed);
     member[static_cast<size_t>(best_seed)] = 1;
   }
-  double current_quality = run.delta().Quality(current);
+  double current_quality = run.evaluator().Quality(current);
 
   // Greedy augmentation: always add the best marginal source. Additions are
   // accepted even when the marginal gain is non-positive as long as *some*

@@ -37,7 +37,7 @@ Result<Solution> LocalSearchSolver::Solve(const CandidateEvaluator& evaluator,
     SearchState state = (restart == 0 && !warm.empty())
                             ? SearchState(evaluator, warm)
                             : SearchState(evaluator, rng);
-    double current = run.delta().Quality(state.sources());
+    double current = run.evaluator().Quality(state.sources());
     if (current > best_quality) {
       best_quality = current;
       best = state.sources();
@@ -70,7 +70,7 @@ Result<Solution> RandomSolver::Solve(const CandidateEvaluator& evaluator,
   // Warm start: the seed becomes the incumbent every sample must beat.
   std::vector<SourceId> warm = internal::ValidWarmStart(evaluator, options);
   if (!warm.empty()) {
-    best_quality = run.delta().Quality(warm);
+    best_quality = run.evaluator().Quality(warm);
     best = std::move(warm);
     run.Improved(best_quality);
   }
@@ -82,7 +82,7 @@ Result<Solution> RandomSolver::Solve(const CandidateEvaluator& evaluator,
     }
     ++iterations;
     std::vector<SourceId> candidate = RandomFeasibleCandidate(evaluator, rng);
-    double quality = run.delta().Quality(candidate);
+    double quality = run.evaluator().Quality(candidate);
     if (quality > best_quality) {
       best_quality = quality;
       best = std::move(candidate);

@@ -121,7 +121,7 @@ Result<Solution> PsoSolver::Solve(const CandidateEvaluator& evaluator,
     positions.front() = std::move(warm);
   }
   std::vector<double> qualities =
-      run.delta().ScoreCandidates(positions, run.pool());
+      run.evaluator().QualityBatch(positions, run.pool());
   for (size_t i = 0; i < swarm.size(); ++i) {
     Particle& p = swarm[i];
     double quality = qualities[i];
@@ -183,7 +183,7 @@ Result<Solution> PsoSolver::Solve(const CandidateEvaluator& evaluator,
       p.position = Repair(p.bits, p.velocity, required, banned, m);
       positions.push_back(p.position);
     }
-    qualities = run.delta().ScoreCandidates(positions, run.pool());
+    qualities = run.evaluator().QualityBatch(positions, run.pool());
     for (size_t i = 0; i < swarm.size(); ++i) {
       Particle& p = swarm[i];
       double quality = qualities[i];

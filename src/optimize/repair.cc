@@ -21,7 +21,6 @@ SolverOptions AsSolverOptions(const RepairOptions& options) {
   solver.max_evaluations = options.eval_budget;
   solver.candidate_moves = options.candidate_moves;
   solver.num_threads = options.num_threads;
-  solver.delta_eval = options.delta_eval;
   solver.clock = options.clock;
   solver.obs = options.obs;
   solver.stall_iterations = 0;  // convergence is the natural stop
@@ -120,7 +119,7 @@ RepairResult RepairIncumbent(const CandidateEvaluator& evaluator,
   internal::SolveScope run(evaluator, solver_options, "repair");
   Rng rng(solver_options.seed);
   SearchState state(evaluator, damaged);
-  result.seed_quality = run.delta().Quality(state.sources());
+  result.seed_quality = run.evaluator().Quality(state.sources());
   std::vector<SourceId> best = state.sources();
   double best_quality = result.seed_quality;
   int64_t iterations = 0;

@@ -30,9 +30,6 @@ struct RepairOptions {
   /// QualityBatch threads (1 = inline); the result is identical for any
   /// value, per the evaluator's bit-identity contract.
   int num_threads = 1;
-  /// Delta scoring (see SolverOptions::delta_eval) — bit-identical results
-  /// either way.
-  bool delta_eval = true;
   /// Injectable clock (tests); null = real steady clock.
   const Clock* clock = nullptr;
   /// Optional observability context (solve/repair span, solver metrics).

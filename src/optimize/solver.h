@@ -51,14 +51,6 @@ struct SolverOptions {
   /// disables all instrumentation — the deterministic parts of the
   /// returned Solution are byte-identical either way.
   obs::ObsContext* obs = nullptr;
-  /// Score candidates through the incremental delta path
-  /// (optimize/delta_evaluator.h), for every quality model; a model with a
-  /// matching QEF still runs Match(S) per computed candidate. Off forwards
-  /// to CandidateEvaluator::Quality/QualityBatch, the reference path the
-  /// oracles compare against. Results, counters and traces are
-  /// bit-identical on or off — this knob exists for A/B benchmarking
-  /// (bench/micro_ube --delta) and for those oracles.
-  bool delta_eval = true;
   /// Warm-start seed: a candidate the search starts from instead of a
   /// random draw — typically the previous incumbent of a feedback session,
   /// repaired against the new spec (Engine::RepairSeed). Every solver

@@ -20,7 +20,7 @@ SolveScope::SolveScope(const CandidateEvaluator& evaluator,
       options_(options),
       name_(solver_name),
       obs_(options.obs),
-      delta_(evaluator, options.delta_eval) {
+      delta_(evaluator, /*enable=*/true) {
   evaluator_.BeginRun();
   if (obs_ == nullptr) return;
   evaluator_.AttachObs(obs_);

@@ -19,9 +19,12 @@
 namespace ube::internal {
 
 /// The scaffolding of one search run, shared by every solver and the
-/// repair so each of them writes only its move rule. Construction starts
-/// the run: it reads the clock, builds the run's DeltaEvaluator, calls
-/// BeginRun (cold cache, zeroed counters) and attaches SolverOptions::obs
+/// repair so each of them writes only its move rule. Solvers score single
+/// candidates and arbitrary batches through evaluator().Quality and
+/// QualityBatch, and single-move neighborhoods through delta(), the run's
+/// DeltaEvaluator, which is always enabled. Construction starts the run:
+/// it reads the clock, builds that DeltaEvaluator, calls BeginRun (cold
+/// cache, zeroed counters) and attaches SolverOptions::obs
 /// (a "solve/<name>" span and the telemetry ring); destruction detaches.
 /// When options.obs is null (the default) the observability members are
 /// cheap no-ops, so solvers use them unconditionally — gate only

@@ -40,7 +40,7 @@ Result<Solution> TabuSearchSolver::Solve(const CandidateEvaluator& evaluator,
   std::vector<SourceId> warm = internal::ValidWarmStart(evaluator, options);
   SearchState state = warm.empty() ? SearchState(evaluator, rng)
                                    : SearchState(evaluator, std::move(warm));
-  double current_quality = run.delta().Quality(state.sources());
+  double current_quality = run.evaluator().Quality(state.sources());
   std::vector<SourceId> best = state.sources();
   double best_quality = current_quality;
   run.Improved(best_quality);

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -139,56 +138,6 @@ TEST(ContinuousTest, StepsReplayBitIdenticallyAcrossThreadCounts) {
   ExpectSameSolution(a->final_solution, b->final_solution);
 }
 
-// Churn-path delta regression: with a matching-free model (so the delta
-// path is genuinely active, not falling back) an entire RunContinuous —
-// initial solve, every repair, every escalation over a busy ChurnTrace —
-// must replay bit-identically with delta scoring on and off: same step
-// fingerprints, counters, incumbents and final solution.
-TEST(ContinuousTest, ChurnStepsBitIdenticalWithDeltaOnAndOff) {
-  auto data_only_model = [] {
-    QualityModel model;
-    model.AddQef(std::make_unique<CardinalityQef>(), 0.4);
-    model.AddQef(std::make_unique<CoverageQef>(), 0.3);
-    model.AddQef(std::make_unique<RedundancyQef>(), 0.2);
-    model.AddQef(std::make_unique<CharacteristicQef>(
-                     "mttf", Aggregation::kWeightedSum),
-                 0.1);
-    return model;
-  };
-  Universe universe = MediumUniverse();
-  ChurnTrace trace = BusyTrace(universe, 11);
-  ASSERT_FALSE(trace.events.empty());
-  const ProblemSpec spec = BasicSpec();
-
-  Engine with(CloneUniverse(universe), data_only_model());
-  Engine without(std::move(universe), data_only_model());
-  ContinuousOptions delta_on = QuickContinuous();
-  delta_on.solver_options.delta_eval = true;
-  ContinuousOptions delta_off = QuickContinuous();
-  delta_off.solver_options.delta_eval = false;
-  Result<ContinuousReport> a = with.RunContinuous(spec, trace, delta_on);
-  Result<ContinuousReport> b = without.RunContinuous(spec, trace, delta_off);
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
-
-  EXPECT_EQ(a->full_solves, b->full_solves);
-  EXPECT_EQ(a->repairs, b->repairs);
-  EXPECT_EQ(a->escalations, b->escalations);
-  EXPECT_EQ(a->last_full_quality, b->last_full_quality);
-  ASSERT_EQ(a->steps.size(), b->steps.size());
-  for (size_t i = 0; i < a->steps.size(); ++i) {
-    const ContinuousStep& sa = a->steps[i];
-    const ContinuousStep& sb = b->steps[i];
-    EXPECT_EQ(sa.evicted, sb.evicted) << "step " << i;
-    EXPECT_EQ(sa.escalated, sb.escalated) << "step " << i;
-    EXPECT_EQ(sa.quality_before, sb.quality_before) << "step " << i;
-    EXPECT_EQ(sa.quality_after, sb.quality_after) << "step " << i;
-    EXPECT_EQ(sa.evaluations, sb.evaluations) << "step " << i;
-    EXPECT_EQ(sa.incumbent, sb.incumbent) << "step " << i;
-  }
-  ExpectSameSolution(a->final_solution, b->final_solution);
-}
-
 // Self-healing: after every batch the incumbent only contains sources that
 // are alive in the evolved universe, and the engine remains usable.
 TEST(ContinuousTest, IncumbentNeverContainsDeadSources) {
@@ -283,12 +232,31 @@ TEST(ContinuousTest, FullEverytimeBaselineNeverRepairs) {
 
 TEST(ContinuousTest, RejectsBadOptions) {
   Engine engine(MediumUniverse(), QualityModel::MakeDefault());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   ContinuousOptions options = QuickContinuous();
   options.batch_ms = 0.0;
   EXPECT_FALSE(engine.RunContinuous(BasicSpec(), ChurnTrace{}, options).ok());
   options = QuickContinuous();
+  options.batch_ms = nan;
+  EXPECT_FALSE(engine.RunContinuous(BasicSpec(), ChurnTrace{}, options).ok());
+  options = QuickContinuous();
   options.escalation_fraction = 1.5;
   EXPECT_FALSE(engine.RunContinuous(BasicSpec(), ChurnTrace{}, options).ok());
+  options = QuickContinuous();
+  options.escalation_fraction = nan;
+  EXPECT_FALSE(engine.RunContinuous(BasicSpec(), ChurnTrace{}, options).ok());
+  // An inverted budget range is rejected whether or not the controller
+  // steers the budget: it is built either way.
+  for (bool adaptive : {true, false}) {
+    options = QuickContinuous();
+    options.adaptive.enabled = adaptive;
+    options.adaptive.min_eval_budget = 1'000;
+    options.adaptive.max_eval_budget = 100;
+    Result<ContinuousReport> report =
+        engine.RunContinuous(BasicSpec(), ChurnTrace{}, options);
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument)
+        << "adaptive=" << adaptive;
+  }
 }
 
 // A batch window anchored at a NaN time admits no event, so a loop waiting

@@ -10,9 +10,10 @@
 // delta path. The same ground truth checks CandidateEvaluator::Evaluate on
 // the paper's default model (F1 + data QEFs). A further property pins
 // cache/counter parity: an identical candidate stream scored through the
-// delta path (inline and on a thread pool) and through the full path must
-// leave num_evaluations / num_cache_hits identical, so eval budgets stop
-// at the same point.
+// delta path (inline and on a thread pool) and through a disabled
+// DeltaEvaluator, which forwards to QualityBatch, must leave
+// num_evaluations / num_cache_hits identical, so eval budgets stop at the
+// same point.
 // Replayable via UBE_PROPERTY_SEED / UBE_PROPERTY_ITERS (see TESTING.md).
 #include <memory>
 #include <optional>
@@ -188,8 +189,9 @@ TEST(DeltaPropertyTest, FlipSequencesAreBitIdenticalToFullRecompute) {
       const QualityBreakdown truth = Reference(*inst, neighbors[0]);
       EXPECT_EQ(scored[0], truth.overall) << "flip " << f;
 
-      // Per-QEF breakdown through the uncached delta probe.
-      QualityBreakdown probe = delta.Compute(neighbors[0]);
+      // Per-QEF breakdown through Score, which every delta miss runs.
+      QualityBreakdown probe =
+          inst->evaluator->Evaluate(neighbors[0]).breakdown;
       ASSERT_EQ(probe.scores.size(), truth.scores.size());
       for (size_t i = 0; i < probe.scores.size(); ++i) {
         EXPECT_EQ(probe.scores[i], truth.scores[i])
@@ -202,7 +204,7 @@ TEST(DeltaPropertyTest, FlipSequencesAreBitIdenticalToFullRecompute) {
         // the new base, and require bit-equality with the pre-commit
         // candidate's from-scratch quality.
         std::vector<SourceId> before = state.sources();
-        double before_quality = delta.Compute(before).overall;
+        double before_quality = inst->evaluator->Evaluate(before).quality;
         state.Commit(move);
         SearchState::Move inverse = Inverse(move);
         std::vector<SearchState::Move> inverse_moves = {inverse};
@@ -276,14 +278,17 @@ TEST(DeltaPropertyTest, EvaluatorTablesMatchReferenceOnDefaultModel) {
 
 // Cache and counter parity: the same candidate stream — neighborhoods with
 // intra-batch duplicates, plus arbitrary-candidate batches — scored through
-// an active delta path on one evaluator and through the plain full path on
-// a second, independent evaluator over the same instance must produce
-// identical score vectors AND identical num_evaluations / num_cache_hits
-// at every step. This is what makes max_evaluations budgets stop at the
-// same point with delta on or off. A third evaluator runs the same stream
-// through a delta path on a thread pool: per the pool rule the matching
-// cases (half of them) compute their misses concurrently, and must still
-// match the inline path bit for bit, counters included.
+// an active delta path on one evaluator and, on a second, independent
+// evaluator over the same instance, through a disabled DeltaEvaluator
+// (which forwards to QualityBatch: the baseline micro_ube and
+// parallel_eval time the delta path against) must produce identical score
+// vectors AND identical num_evaluations / num_cache_hits at every step.
+// This is what makes max_evaluations budgets stop where QualityBatch
+// would. A third evaluator runs the same stream through a delta path on a
+// thread pool: per the pool rule the matching cases (half of them) compute
+// their misses concurrently, and must still match the inline path bit for
+// bit, counters included. Arbitrary batches (the PSO/greedy entry point)
+// go through QualityBatch on all three.
 TEST(DeltaPropertyTest, CacheAndCounterParityWithFullPath) {
   PropertyRunner runner("delta-counter-parity", 25);
   ThreadPool pool(3);
@@ -298,8 +303,9 @@ TEST(DeltaPropertyTest, CacheAndCounterParityWithFullPath) {
                                    inst->model, inst->spec);
     DeltaEvaluator delta(*inst->evaluator, true);
     DeltaEvaluator pooled(pooled_eval, true);
+    DeltaEvaluator forward(full_eval, false);
     ASSERT_TRUE(delta.active());
-    EXPECT_FALSE(DeltaEvaluator(full_eval, false).active());
+    ASSERT_FALSE(forward.active());
     inst->evaluator->BeginRun();
     full_eval.BeginRun();
     pooled_eval.BeginRun();
@@ -319,8 +325,8 @@ TEST(DeltaPropertyTest, CacheAndCounterParityWithFullPath) {
         *inst->evaluator,
         testkit::GenerateCandidate(rng, inst->universe, inst->spec));
     const double start_quality = full_eval.Quality(state.sources());
-    EXPECT_EQ(delta.Quality(state.sources()), start_quality);
-    EXPECT_EQ(pooled.Quality(state.sources()), start_quality);
+    EXPECT_EQ(inst->evaluator->Quality(state.sources()), start_quality);
+    EXPECT_EQ(pooled_eval.Quality(state.sources()), start_quality);
     for (int round = 0; round < 12; ++round) {
       std::vector<SearchState::Move> moves;
       std::vector<std::vector<SourceId>> neighbors;
@@ -341,7 +347,8 @@ TEST(DeltaPropertyTest, CacheAndCounterParityWithFullPath) {
           delta.ScoreNeighborhood(state.sources(), moves, neighbors, nullptr);
       std::vector<double> via_pool =
           pooled.ScoreNeighborhood(state.sources(), moves, neighbors, &pool);
-      std::vector<double> via_full = full_eval.QualityBatch(neighbors);
+      std::vector<double> via_full =
+          forward.ScoreNeighborhood(state.sources(), moves, neighbors, nullptr);
       ASSERT_EQ(via_delta.size(), via_full.size());
       ASSERT_EQ(via_pool.size(), via_full.size());
       for (size_t i = 0; i < via_delta.size(); ++i) {
@@ -358,8 +365,8 @@ TEST(DeltaPropertyTest, CacheAndCounterParityWithFullPath) {
         arbitrary.push_back(
             testkit::GenerateCandidate(rng, inst->universe, inst->spec));
       }
-      std::vector<double> arb_delta = delta.ScoreCandidates(arbitrary, nullptr);
-      std::vector<double> arb_pool = pooled.ScoreCandidates(arbitrary, &pool);
+      std::vector<double> arb_delta = inst->evaluator->QualityBatch(arbitrary);
+      std::vector<double> arb_pool = pooled_eval.QualityBatch(arbitrary, &pool);
       std::vector<double> arb_full = full_eval.QualityBatch(arbitrary);
       for (size_t i = 0; i < arbitrary.size(); ++i) {
         EXPECT_EQ(arb_delta[i], arb_full[i]) << "round " << round;

@@ -1,8 +1,7 @@
 // Unified solver fixture: every SolverKind is described by a SolverTraits
 // descriptor (monotonic? randomized? exact? anytime? budget? epsilon?) and
 // this suite checks each implementation against its own descriptor on the
-// pinned golden small universe, plus the delta-vs-full, cache-store and
-// warm-start axes.
+// pinned golden small universe, plus the cache-store and warm-start axes.
 #include <algorithm>
 #include <map>
 #include <memory>
@@ -57,10 +56,9 @@ Engine MakeGoldenEngine() {
                 QualityModel::MakeDefault());
 }
 
-// Matching-free model over the same golden universe: every QEF provides a
-// delta scorer, so solvers actually take the incremental path instead of
-// falling back (MakeDefault contains a matching QEF, which forces the full
-// path — still a valid delta-vs-full case, just a trivial one).
+// Matching-free model over the same golden universe: no miss runs Match(S),
+// so a batch's misses run inline even when the solve has a pool, while
+// MakeDefault's matching QEF sends them to the pool.
 QualityModel DataOnlyModel() {
   QualityModel model;
   model.AddQef(std::make_unique<CardinalityQef>(), 0.4);
@@ -218,35 +216,6 @@ TEST_P(SolverFixtureTest, TimeLimitStopsDeterministicallyUnderManualClock) {
   EXPECT_TRUE(SolutionsBitIdentical(*first, *second));
 }
 
-// Delta-vs-full differential axis: for every solver
-// and for both the sequential and the hardware-concurrency thread count,
-// the incremental delta path must return a Solution byte-identical to the
-// full path — sources, quality bits, counters and trace. Run on the
-// matching-free model (misses computed inline) and on the default matching
-// model (Match per miss, misses on the pool when threads > 1).
-TEST_P(SolverFixtureTest, DeltaMatchesFullPathBitIdentically) {
-  const SolverKind kind = GetParam();
-  const testkit::GoldenSmallUniverse& golden = Golden();
-  for (bool matching : {false, true}) {
-    Engine engine = matching ? MakeGoldenEngine()
-                             : MakeGoldenEngine(DataOnlyModel());
-    for (int threads : {1, 0}) {
-      SolverOptions options = FixtureOptions();
-      options.record_trace = true;
-      options.num_threads = threads;
-      options.delta_eval = false;
-      Result<Solution> full = engine.Solve(golden.spec, kind, options);
-      ASSERT_TRUE(full.ok()) << full.status();
-      options.delta_eval = true;
-      Result<Solution> delta = engine.Solve(golden.spec, kind, options);
-      ASSERT_TRUE(delta.ok()) << delta.status();
-      EXPECT_TRUE(SolutionsBitIdentical(*full, *delta))
-          << "delta/full divergence (matching=" << matching
-          << ", threads=" << threads << ")";
-    }
-  }
-}
-
 // The eval.* counter totals a solve left in `obs`, by name.
 std::map<std::string, int64_t> EvalCounters(const obs::ObsContext& obs) {
   std::map<std::string, int64_t> totals;
@@ -258,40 +227,37 @@ std::map<std::string, int64_t> EvalCounters(const obs::ObsContext& obs) {
 }
 
 // Cache-store axis: which store memoizes Q(S) must not change a solve. For
-// every solver, delta on and off, and both thread counts, a solve through a
-// fresh attached SharedQualityCache returns a Solution byte-identical to one
-// on the evaluator's own cache — evaluations and cache hits included — and
-// leaves equal eval.* counter totals.
+// every solver, on the matching-free and the default matching model, and
+// both thread counts, a solve through a fresh attached SharedQualityCache
+// returns a Solution byte-identical to one on the evaluator's own cache —
+// evaluations and cache hits included — and leaves equal eval.* counter
+// totals.
 TEST_P(SolverFixtureTest, AttachedCacheMatchesOwnCacheBitIdentically) {
   const SolverKind kind = GetParam();
   const testkit::GoldenSmallUniverse& golden = Golden();
   for (bool matching : {false, true}) {
     Engine engine = matching ? MakeGoldenEngine()
                              : MakeGoldenEngine(DataOnlyModel());
-    for (bool delta : {false, true}) {
-      for (int threads : {1, 0}) {
-        SolverOptions options = FixtureOptions();
-        options.record_trace = true;
-        options.num_threads = threads;
-        options.delta_eval = delta;
-        obs::ObsContext own_obs;
-        options.obs = &own_obs;
-        Result<Solution> own = engine.Solve(golden.spec, kind, options);
-        ASSERT_TRUE(own.ok()) << own.status();
+    for (int threads : {1, 0}) {
+      SolverOptions options = FixtureOptions();
+      options.record_trace = true;
+      options.num_threads = threads;
+      obs::ObsContext own_obs;
+      options.obs = &own_obs;
+      Result<Solution> own = engine.Solve(golden.spec, kind, options);
+      ASSERT_TRUE(own.ok()) << own.status();
 
-        SharedQualityCache cache;
-        obs::ObsContext attached_obs;
-        options.obs = &attached_obs;
-        options.shared_cache = &cache;
-        Result<Solution> attached = engine.Solve(golden.spec, kind, options);
-        ASSERT_TRUE(attached.ok()) << attached.status();
-        EXPECT_TRUE(SolutionsBitIdentical(*own, *attached))
-            << "own/attached cache divergence (matching=" << matching
-            << ", delta=" << delta << ", threads=" << threads << ")";
-        EXPECT_EQ(EvalCounters(own_obs), EvalCounters(attached_obs))
-            << "matching=" << matching << ", delta=" << delta
-            << ", threads=" << threads;
-      }
+      SharedQualityCache cache;
+      obs::ObsContext attached_obs;
+      options.obs = &attached_obs;
+      options.shared_cache = &cache;
+      Result<Solution> attached = engine.Solve(golden.spec, kind, options);
+      ASSERT_TRUE(attached.ok()) << attached.status();
+      EXPECT_TRUE(SolutionsBitIdentical(*own, *attached))
+          << "own/attached cache divergence (matching=" << matching
+          << ", threads=" << threads << ")";
+      EXPECT_EQ(EvalCounters(own_obs), EvalCounters(attached_obs))
+          << "matching=" << matching << ", threads=" << threads;
     }
   }
 }
