@@ -402,7 +402,9 @@ void RunFlipSweep(ube::bench::BenchHarness& bench, bool delta_only,
 // Console output as usual, plus every benchmark's per-iteration real time
 // harvested into the harness as `<name>_ns` for BENCH_micro_ube.json. A
 // fixed iteration count and manual timing (BM_StoreClear) stay out of the
-// name.
+// name. Under --benchmark_repetitions every repetition and every aggregate
+// (mean, median, stddev, cv) arrives under one name; only the median is
+// kept.
 class MetricReporter : public benchmark::ConsoleReporter {
  public:
   explicit MetricReporter(ube::bench::BenchHarness* bench)
@@ -411,6 +413,10 @@ class MetricReporter : public benchmark::ConsoleReporter {
   void ReportRuns(const std::vector<Run>& reports) override {
     for (const Run& run : reports) {
       if (run.error_occurred || run.iterations <= 0) continue;
+      if (run.repetitions > 1 && (run.run_type != Run::RT_Aggregate ||
+                                  run.aggregate_name != "median")) {
+        continue;
+      }
       benchmark::BenchmarkName name = run.run_name;
       name.iterations.clear();
       name.time_type.clear();
@@ -418,8 +424,9 @@ class MetricReporter : public benchmark::ConsoleReporter {
       for (char& c : key) {
         if (c == '/' || c == ':') c = '_';
       }
-      const double ns_per_iter = run.real_accumulated_time /
-                                 static_cast<double>(run.iterations) * 1e9;
+      const double ns_per_iter =
+          run.GetAdjustedRealTime() /
+          benchmark::GetTimeUnitMultiplier(run.time_unit) * 1e9;
       bench_->SetMetric(key + "_ns", ns_per_iter);
     }
     ConsoleReporter::ReportRuns(reports);

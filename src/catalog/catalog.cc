@@ -448,16 +448,4 @@ std::string WriteCatalog(const Universe& universe) {
   return out;
 }
 
-Status SaveCatalogFile(const Universe& universe, const std::string& path) {
-  std::ofstream file(path);
-  if (!file) {
-    return Status::InvalidArgument("cannot open '" + path + "' for writing");
-  }
-  file << WriteCatalog(universe);
-  if (!file.good()) {
-    return Status::Internal("write to '" + path + "' failed");
-  }
-  return Status::Ok();
-}
-
 }  // namespace ube

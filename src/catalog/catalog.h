@@ -55,9 +55,6 @@ Result<Universe> LoadCatalogFile(const std::string& path);
 /// Serializes a universe into catalog text.
 std::string WriteCatalog(const Universe& universe);
 
-/// Writes WriteCatalog(universe) to a file.
-Status SaveCatalogFile(const Universe& universe, const std::string& path);
-
 }  // namespace ube
 
 #endif  // UBE_CATALOG_CATALOG_H_

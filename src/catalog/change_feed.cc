@@ -58,7 +58,6 @@ ChurnFeedDriver::ChurnFeedDriver(const Universe& universe,
     const DataSource& source = universe.source(s);
     (source.available() ? alive_ : dead_).push_back(s);
     schemas_.push_back(source.schema().names());
-    names_.push_back(source.name());
     if (source.available()) {
       Template tmpl;
       tmpl.attributes = source.schema().names();
@@ -137,16 +136,6 @@ double ChurnFeedDriver::NextEventTime() {
   return t_;
 }
 
-const std::string& ChurnFeedDriver::NameOf(SourceId s) const {
-  UBE_CHECK(s >= 0 && static_cast<size_t>(s) < names_.size(),
-            "ChurnFeedDriver::NameOf: source out of range");
-  return names_[static_cast<size_t>(s)];
-}
-
-bool ChurnFeedDriver::IsAlive(SourceId s) const {
-  return std::find(alive_.begin(), alive_.end(), s) != alive_.end();
-}
-
 std::string ChurnFeedDriver::MutateName(const std::string& base) {
   static constexpr const char* kSuffixes[] = {"_2", "_id", "_name", "_alt"};
   static constexpr const char* kPrefixes[] = {"src_", "new_", "the_"};
@@ -222,7 +211,6 @@ std::optional<ChurnEvent> ChurnFeedDriver::DrawBase(double t) {
       event.source = next_new_++;
       event.added = SynthesizeSource(synthesized_++);
       schemas_.push_back(event.added->schema().names());
-      names_.push_back(event.added->name());
     }
     alive_.push_back(event.source);
   } else if (draw < wa + wr) {
@@ -272,42 +260,6 @@ std::optional<ChurnEvent> ChurnFeedDriver::DrawBase(double t) {
     event.attr_index = static_cast<int32_t>(rng_.UniformInt(schema.size()));
     schema.erase(schema.begin() + event.attr_index);
   }
-  return event;
-}
-
-ChurnEvent ChurnFeedDriver::ForceRemove(double t, SourceId s) {
-  auto it = std::find(alive_.begin(), alive_.end(), s);
-  UBE_CHECK(it != alive_.end(), "ForceRemove of a source that is not alive");
-  alive_.erase(it);
-  dead_.push_back(s);
-  ChurnEvent event;
-  event.time_ms = t;
-  event.kind = ChurnEventKind::kRemove;
-  event.source = s;
-  return event;
-}
-
-ChurnEvent ChurnFeedDriver::ForceRevive(double t, SourceId s) {
-  auto it = std::find(dead_.begin(), dead_.end(), s);
-  UBE_CHECK(it != dead_.end(), "ForceRevive of a source that is not dead");
-  dead_.erase(it);
-  alive_.push_back(s);
-  ChurnEvent event;
-  event.time_ms = t;
-  event.kind = ChurnEventKind::kAdd;
-  event.source = s;
-  event.revive = true;
-  return event;
-}
-
-ChurnEvent ChurnFeedDriver::ForceStaleRefresh(double t, SourceId s,
-                                              double staleness) {
-  UBE_CHECK(IsAlive(s), "ForceStaleRefresh of a source that is not alive");
-  ChurnEvent event;
-  event.time_ms = t;
-  event.kind = ChurnEventKind::kStaleRefresh;
-  event.source = s;
-  event.staleness = staleness;
   return event;
 }
 

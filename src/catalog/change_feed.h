@@ -115,16 +115,12 @@ struct ChurnTrace {
   std::vector<ChurnEvent> events;
 };
 
-/// The evolving-catalog state machine behind GenerateChurnTrace, exposed so
-/// the fault-coupled feed (src/source/fault_coupled_feed.h) can interleave
-/// probe-driven events with base churn over ONE shared state: alive/dead
+/// The evolving-catalog state machine behind GenerateChurnTrace: alive/dead
 /// sets, per-source schemas (drift-adjusted), tombstone ordering and the
-/// synthesized-source counter all stay consistent, so every event either
-/// path emits is valid to LiveUniverse::Apply in trace order.
+/// synthesized-source counter stay consistent, so every event it emits is
+/// valid to LiveUniverse::Apply in trace order.
 ///
-/// Deterministic: one Rng seeded from the config; the forced mutations
-/// consume no randomness, so a driver used with zero forced events replays
-/// GenerateChurnTrace's stream bit for bit.
+/// Deterministic: one Rng seeded from the config.
 class ChurnFeedDriver {
  public:
   /// Validates `config` against the universe's current state (see
@@ -133,32 +129,14 @@ class ChurnFeedDriver {
   static Result<ChurnFeedDriver> Make(const Universe& universe,
                                       const ChurnFeedConfig& config);
 
-  /// Absolute simulated time of the next base-feed event; consumes the
-  /// exponential gap draw. Returns a value past horizon_ms() when the
-  /// schedule is exhausted (or the rate is <= 0).
+  /// Absolute simulated time of the next event; consumes the exponential
+  /// gap draw. Times grow past the config's horizon_ms, where the caller
+  /// stops; +infinity when the rate or the horizon is <= 0.
   double NextEventTime();
 
-  /// Draws one base churn event at time `t`, updating the evolving state.
+  /// Draws one churn event at time `t`, updating the evolving state.
   /// nullopt when every kind's weight is gated out at this instant.
   std::optional<ChurnEvent> DrawBase(double t);
-
-  // --- forced (fault-driven) mutations ----------------------------------
-
-  bool IsAlive(SourceId s) const;
-  const std::vector<SourceId>& alive() const { return alive_; }
-  /// Name of source `s` in the evolving catalog (synthesized sources
-  /// included) — fault plans key probe streams off names.
-  const std::string& NameOf(SourceId s) const;
-
-  /// A kRemove of alive source `s` at time `t`.
-  ChurnEvent ForceRemove(double t, SourceId s);
-  /// A revive-kAdd of dead source `s` at time `t`.
-  ChurnEvent ForceRevive(double t, SourceId s);
-  /// A kStaleRefresh of alive source `s` (staleness 0 = successful probe).
-  ChurnEvent ForceStaleRefresh(double t, SourceId s, double staleness);
-
-  double horizon_ms() const { return config_.horizon_ms; }
-  int min_alive() const { return config_.min_alive; }
 
  private:
   ChurnFeedDriver(const Universe& universe, const ChurnFeedConfig& config);
@@ -175,7 +153,6 @@ class ChurnFeedDriver {
   /// Evolving per-source schemas (drift-adjusted; frozen while dead, which
   /// mirrors the applier's tombstone-restore semantics).
   std::vector<std::vector<std::string>> schemas_;
-  std::vector<std::string> names_;
   /// Immutable clone templates from the initial universe (schema +
   /// cardinality + characteristics of every initially-alive source).
   struct Template {

@@ -382,20 +382,4 @@ Result<std::vector<SourceId>> Engine::RepairSeed(
   return std::move(repaired.solution.sources);
 }
 
-Result<MatchResult> Engine::MatchSources(const ProblemSpec& spec,
-                                         std::vector<SourceId> sources) const {
-  const Universe& universe = live_.universe();
-  UBE_RETURN_IF_ERROR(CandidateEvaluator::ValidateSpec(universe, spec));
-  for (SourceId s : sources) {
-    UBE_RETURN_IF_ERROR(universe.ValidateId(s));
-  }
-  std::sort(sources.begin(), sources.end());
-  sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
-  MatchOptions options;
-  options.theta = spec.theta;
-  options.beta = spec.beta;
-  return live_.matcher().Match(sources, spec.source_constraints,
-                               spec.ga_constraints, options);
-}
-
 }  // namespace ube

@@ -129,7 +129,8 @@ class Engine {
   struct Options {
     /// Similarity graph floor: edges below this are discarded. Must not
     /// exceed any θ used later; 0.25 comfortably under-runs practical
-    /// thresholds while keeping the graph sparse.
+    /// thresholds while keeping the graph sparse. Outside [0, 1], or NaN,
+    /// every call that evaluates returns InvalidArgument.
     double similarity_floor = 0.25;
     /// Attribute similarity measure (null = the paper's 3-gram Jaccard).
     std::unique_ptr<AttributeSimilarity> similarity;
@@ -218,10 +219,6 @@ class Engine {
                                            const std::vector<SourceId>& incumbent,
                                            const RepairOptions& options) const;
 
-  /// Runs only the Match operator over a source set (no data QEFs).
-  Result<MatchResult> MatchSources(
-      const ProblemSpec& spec, std::vector<SourceId> sources) const;
-
  private:
   /// Spec with every unavailable (dropped) source appended to the ban list;
   /// Unavailable when a constraint requires a dropped source. Returns
@@ -229,7 +226,8 @@ class Engine {
   Result<ProblemSpec> EffectiveSpec(const ProblemSpec& spec) const;
 
   /// The validation Solve, RepairSeed and EvaluateCandidate share: the
-  /// live universe's status (mixed signature formats), EffectiveSpec, then
+  /// live universe's status (a bad similarity floor, a source breaking the
+  /// catalog's rules), EffectiveSpec, then
   /// ValidateSpec, ValidateOverlay and θ against the similarity graph's
   /// floor (every Match would fail below it). Returns the effective spec.
   Result<ProblemSpec> ValidatedSpec(const ProblemSpec& spec) const;

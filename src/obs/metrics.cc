@@ -66,14 +66,12 @@ struct MetricsRegistry::Sink {
   std::vector<std::unique_ptr<HistSlot>> hists;
 };
 
-MetricsRegistry::MetricsRegistry(bool enabled)
-    : enabled_(enabled),
-      epoch_(g_next_epoch.fetch_add(1, std::memory_order_relaxed)) {}
+MetricsRegistry::MetricsRegistry()
+    : epoch_(g_next_epoch.fetch_add(1, std::memory_order_relaxed)) {}
 
 MetricsRegistry::~MetricsRegistry() = default;
 
 MetricsRegistry::MetricId MetricsRegistry::Counter(std::string_view name) {
-  if (!enabled_) return kInvalidMetric;
   std::lock_guard<std::mutex> lock(mu_);
   for (size_t i = 0; i < counter_names_.size(); ++i) {
     if (counter_names_[i] == name) return PackId(kCounterKind, i);
@@ -83,7 +81,6 @@ MetricsRegistry::MetricId MetricsRegistry::Counter(std::string_view name) {
 }
 
 MetricsRegistry::MetricId MetricsRegistry::Gauge(std::string_view name) {
-  if (!enabled_) return kInvalidMetric;
   std::lock_guard<std::mutex> lock(mu_);
   for (size_t i = 0; i < gauges_.size(); ++i) {
     if (gauges_[i].name == name) return PackId(kGaugeKind, i);
@@ -94,7 +91,6 @@ MetricsRegistry::MetricId MetricsRegistry::Gauge(std::string_view name) {
 
 MetricsRegistry::MetricId MetricsRegistry::Histogram(
     std::string_view name, std::vector<int64_t> bounds) {
-  if (!enabled_) return kInvalidMetric;
   std::lock_guard<std::mutex> lock(mu_);
   for (size_t i = 0; i < hist_defs_.size(); ++i) {
     if (hist_defs_[i].name == name) return PackId(kHistKind, i);
@@ -141,21 +137,21 @@ MetricsRegistry::Sink* MetricsRegistry::SinkFor(size_t min_counters,
 }
 
 void MetricsRegistry::Add(MetricId id, int64_t delta) {
-  if (!enabled_ || id < 0) return;
+  if (id < 0) return;
   const auto slot = static_cast<size_t>(id & kSlotMask);
   Sink* sink = SinkFor(slot + 1, 0);
   sink->counters[slot].fetch_add(delta, std::memory_order_relaxed);
 }
 
 void MetricsRegistry::Set(MetricId id, double value) {
-  if (!enabled_ || id < 0) return;
+  if (id < 0) return;
   const auto slot = static_cast<size_t>(id & kSlotMask);
   std::lock_guard<std::mutex> lock(mu_);
   gauges_[slot].value = value;
 }
 
 void MetricsRegistry::Observe(MetricId id, int64_t value) {
-  if (!enabled_ || id < 0) return;
+  if (id < 0) return;
   const auto slot = static_cast<size_t>(id & kSlotMask);
   Sink* sink = SinkFor(0, slot + 1);
   HistSlot& hist = *sink->hists[slot];
@@ -176,7 +172,6 @@ void MetricsRegistry::Observe(MetricId id, int64_t value) {
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot out;
-  if (!enabled_) return out;
   std::lock_guard<std::mutex> lock(mu_);
 
   std::vector<int64_t> counter_totals(counter_names_.size(), 0);
@@ -229,7 +224,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
 }
 
 void MetricsRegistry::Reset() {
-  if (!enabled_) return;
   std::lock_guard<std::mutex> lock(mu_);
   for (const std::unique_ptr<Sink>& sink : sinks_) {
     for (std::atomic<int64_t>& counter : sink->counters) {

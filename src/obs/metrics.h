@@ -78,9 +78,6 @@ std::string FormatMetricsReport(const MetricsSnapshot& snapshot);
 ///
 /// Gauges are last-write-wins process-level values (registry-resident,
 /// mutex-guarded); they are for low-rate state, not hot paths.
-///
-/// A disabled registry (enabled = false) turns every record call into an
-/// early-out on one bool.
 class MetricsRegistry {
  public:
   /// Handle for one registered metric; cheap to copy, valid for the
@@ -89,12 +86,10 @@ class MetricsRegistry {
   using MetricId = int32_t;
   static constexpr MetricId kInvalidMetric = -1;
 
-  explicit MetricsRegistry(bool enabled = true);
+  MetricsRegistry();
   ~MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  bool enabled() const { return enabled_; }
 
   /// Registration is idempotent: the same name returns the same id. A name
   /// may not be reused across metric kinds. Re-registering a histogram
@@ -136,7 +131,6 @@ class MetricsRegistry {
   Sink* SinkFor(size_t counter_slots, size_t hist_slots);
   Sink* NewSinkLocked();
 
-  const bool enabled_;
   const uint64_t epoch_;  ///< process-unique id for thread-local keying
 
   mutable std::mutex mu_;  // guards defs, gauges, and the sink list

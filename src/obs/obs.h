@@ -1,8 +1,6 @@
 #ifndef UBE_OBS_OBS_H_
 #define UBE_OBS_OBS_H_
 
-#include <memory>
-#include <string>
 #include <string_view>
 
 #include "obs/metrics.h"
@@ -10,16 +8,6 @@
 #include "obs/trace.h"
 
 namespace ube::obs {
-
-/// Knobs for one ObsContext.
-struct ObsOptions {
-  /// Record counters/gauges/histograms.
-  bool metrics = true;
-  /// Record scoped spans (chrome-trace export).
-  bool trace = true;
-  /// Capacity of each solver run's per-iteration telemetry ring.
-  int telemetry_capacity = 4096;
-};
 
 /// One observability scope: a metrics registry plus a tracer, handed by
 /// pointer to whatever should be instrumented (SolverOptions::obs,
@@ -33,28 +21,12 @@ struct ObsOptions {
 /// themselves identical for any thread count (see MetricsRegistry).
 class ObsContext {
  public:
-  /// Environment switch read by FromEnv(): unset/"0" → disabled.
-  static constexpr const char* kTraceEnvVar = "UBE_TRACE";
-
-  explicit ObsContext(const ObsOptions& options = ObsOptions())
-      : options_(options),
-        metrics_(options.metrics),
-        tracer_(options.trace) {}
-
-  /// A fresh context when UBE_TRACE is set to anything but "0"; null
-  /// otherwise. The conventional opt-in for binaries:
-  ///   std::unique_ptr<obs::ObsContext> obs = obs::ObsContext::FromEnv();
-  ///   options.obs = obs.get();  // fine when null
-  static std::unique_ptr<ObsContext> FromEnv();
-
-  const ObsOptions& options() const { return options_; }
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
 
  private:
-  ObsOptions options_;
   MetricsRegistry metrics_;
   Tracer tracer_;
 };

@@ -52,8 +52,7 @@ std::string FormatFixed(double value) {
 
 }  // namespace
 
-Tracer::Tracer(bool enabled)
-    : enabled_(enabled), origin_(std::chrono::steady_clock::now()) {}
+Tracer::Tracer() : origin_(std::chrono::steady_clock::now()) {}
 
 double Tracer::NowMicros() const {
   return std::chrono::duration<double, std::micro>(
@@ -61,12 +60,8 @@ double Tracer::NowMicros() const {
       .count();
 }
 
-Tracer::Span::Span(Tracer* tracer, std::string_view name) {
-  if (tracer == nullptr || !tracer->enabled()) return;
-  tracer_ = tracer;
-  name_ = name;
-  start_us_ = tracer->NowMicros();
-}
+Tracer::Span::Span(Tracer* tracer, std::string_view name)
+    : tracer_(tracer), name_(name), start_us_(tracer->NowMicros()) {}
 
 Tracer::Span& Tracer::Span::operator=(Span&& other) noexcept {
   if (this != &other) {
@@ -87,7 +82,6 @@ void Tracer::Span::End() {
 
 void Tracer::AddEvent(std::string_view name, double start_us,
                       double duration_us) {
-  if (!enabled_) return;
   Event event;
   event.name = name;
   event.start_us = start_us;

@@ -15,17 +15,15 @@ namespace ube::obs {
 /// JSON (loadable in chrome://tracing or https://ui.perfetto.dev) and as a
 /// compact per-name text summary.
 ///
-/// A disabled tracer (or a Span obtained from a null tracer pointer, see
-/// SpanIf in obs.h) makes every operation a no-op that never reads the
-/// clock. Recording is thread-safe; span timestamps are wall-clock, so the
-/// JSON is a profile, never part of any determinism contract.
+/// A default-constructed Span (what SpanIf in obs.h returns for a null
+/// context) is a no-op that never reads the clock. Recording is
+/// thread-safe; span timestamps are wall-clock, so the JSON is a profile,
+/// never part of any determinism contract.
 class Tracer {
  public:
-  explicit Tracer(bool enabled = true);
+  Tracer();
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
-
-  bool enabled() const { return enabled_; }
 
   /// An open span. Ends (and records its event) on destruction or End(),
   /// whichever comes first. Movable, not copyable; a default-constructed
@@ -77,7 +75,6 @@ class Tracer {
     int tid = 0;
   };
 
-  const bool enabled_;
   const std::chrono::steady_clock::time_point origin_;
   mutable std::mutex mu_;
   std::vector<Event> events_;

@@ -22,6 +22,11 @@ namespace {
 // different walks.
 constexpr int kProposalBlock = 8;
 
+// Geometric cooling schedule: the temperature starts at kInitialTemperature
+// and is multiplied by kCoolingRate after every considered move.
+constexpr double kInitialTemperature = 0.05;
+constexpr double kCoolingRate = 0.995;
+
 }  // namespace
 
 Result<Solution> AnnealingSolver::Solve(const CandidateEvaluator& evaluator,
@@ -40,8 +45,7 @@ Result<Solution> AnnealingSolver::Solve(const CandidateEvaluator& evaluator,
   double best_quality = current;
   run.Improved(best_quality);
 
-  double temperature = std::max(1e-9, options.initial_temperature);
-  const double cooling = std::clamp(options.cooling_rate, 0.5, 0.999999);
+  double temperature = kInitialTemperature;
 
   int64_t iterations = 0;
   int64_t stall = 0;
@@ -96,7 +100,7 @@ Result<Solution> AnnealingSolver::Solve(const CandidateEvaluator& evaluator,
       // generated, so the Metropolis rule acts on quality alone.
       bool accept =
           delta >= 0.0 || rng.UniformDouble() < std::exp(delta / temperature);
-      temperature *= cooling;
+      temperature *= kCoolingRate;
       if (!accept) {
         ++stall;
         if (stall_budget > 0 && stall >= stall_budget) break;

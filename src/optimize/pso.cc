@@ -11,6 +11,13 @@ namespace ube {
 
 namespace {
 
+// Velocity update weights: inertia keeps a bit's previous velocity; the
+// cognitive and social terms pull it towards the particle's own best and
+// the swarm's best.
+constexpr double kInertia = 0.72;
+constexpr double kCognitive = 1.5;
+constexpr double kSocial = 1.5;
+
 double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
 // Projects a bit vector onto the feasible region: required sources forced
@@ -171,10 +178,10 @@ Result<Solution> PsoSolver::Solve(const CandidateEvaluator& evaluator,
         double r1 = rng.UniformDouble();
         double r2 = rng.UniformDouble();
         p.velocity[i] =
-            options.inertia * p.velocity[i] +
-            options.cognitive * r1 *
+            kInertia * p.velocity[i] +
+            kCognitive * r1 *
                 (static_cast<double>(p.best_bits[i]) - p.bits[i]) +
-            options.social * r2 *
+            kSocial * r2 *
                 (static_cast<double>(global_best_bits[i]) - p.bits[i]);
         p.velocity[i] =
             std::clamp(p.velocity[i], -kVelocityClamp, kVelocityClamp);

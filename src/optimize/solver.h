@@ -72,22 +72,13 @@ struct SolverOptions {
   // --- tabu search -----------------------------------------------------
   /// Moves sampled per iteration (0 = auto: scales with |U| and m).
   int candidate_moves = 0;
-  /// Tabu tenure in iterations (0 = auto: 7 + |U|/50).
-  int tabu_tenure = 0;
 
   // --- stochastic local search ------------------------------------------
   /// Number of random restarts.
   int restarts = 6;
 
-  // --- simulated annealing ----------------------------------------------
-  double initial_temperature = 0.05;
-  double cooling_rate = 0.995;
-
   // --- particle swarm -----------------------------------------------------
   int swarm_size = 20;
-  double inertia = 0.72;
-  double cognitive = 1.5;
-  double social = 1.5;
 
   // --- random search -------------------------------------------------------
   /// Candidates drawn by the random-search baseline.

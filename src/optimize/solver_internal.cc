@@ -10,6 +10,10 @@ namespace {
 
 constexpr double kEps = 1e-12;
 
+// Per-iteration samples an observed run keeps; older ones are overwritten
+// and counted in SolverStats::telemetry_dropped.
+constexpr int kTelemetryCapacity = 4096;
+
 }  // namespace
 
 SolveScope::SolveScope(const CandidateEvaluator& evaluator,
@@ -24,8 +28,7 @@ SolveScope::SolveScope(const CandidateEvaluator& evaluator,
   evaluator_.BeginRun();
   if (obs_ == nullptr) return;
   evaluator_.AttachObs(obs_);
-  ring_ = std::make_unique<obs::TelemetryRing>(
-      obs_->options().telemetry_capacity);
+  ring_ = std::make_unique<obs::TelemetryRing>(kTelemetryCapacity);
   span_ = obs_->tracer().StartSpan(std::string("solve/") +
                                    std::string(solver_name));
 }

@@ -42,25 +42,6 @@ int QualityModel::FindQef(std::string_view name) const {
   return -1;
 }
 
-Status QualityModel::SetWeights(const std::vector<double>& weights) {
-  if (weights.size() != weights_.size()) {
-    return Status::InvalidArgument("weight count does not match QEF count");
-  }
-  std::vector<double> candidate = weights;
-  std::swap(candidate, weights_);
-  Status status = ValidateWeights();
-  if (!status.ok()) std::swap(candidate, weights_);  // roll back
-  return status;
-}
-
-Status QualityModel::SetWeightRescaling(std::string_view name, double weight) {
-  int index = FindQef(name);
-  if (index < 0) {
-    return Status::NotFound("no QEF named '" + std::string(name) + "'");
-  }
-  return RescaleWeight(&weights_, index, weight);
-}
-
 Status QualityModel::RescaleWeight(std::vector<double>* weights, int index,
                                    double weight) {
   UBE_CHECK(weights != nullptr, "RescaleWeight requires a weight vector");

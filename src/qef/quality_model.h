@@ -27,8 +27,10 @@ struct QualityBreakdown {
 /// Q(S) = Σ w_i F_i(S) with 0 <= w_i <= 1 and Σ w_i = 1 (Section 2.3).
 ///
 /// The user adjusts weights between µBE iterations "to guide the search for
-/// a solution towards different parts of the search space"; SetWeights and
-/// SetWeight support that feedback loop.
+/// a solution towards different parts of the search space". That feedback
+/// never touches the model: the model's weights are fixed once it is built,
+/// and a Session reweights its own ProblemSpec::weight_overlay through
+/// RescaleWeight, so every session over one engine shares one model.
 class QualityModel {
  public:
   QualityModel() = default;
@@ -56,17 +58,9 @@ class QualityModel {
   /// starts from — see ProblemSpec::weight_overlay).
   const std::vector<double>& weights() const { return weights_; }
 
-  /// Replaces all weights (size must match; each in [0,1]; sum within 1e-6
-  /// of 1).
-  Status SetWeights(const std::vector<double>& weights);
-  /// Sets one weight by QEF name and rescales the others proportionally so
-  /// the sum stays 1 — the natural "turn this knob" user feedback.
-  Status SetWeightRescaling(std::string_view name, double weight);
-
-  /// The rescaling rule behind SetWeightRescaling on a free-standing weight
-  /// vector: sets (*weights)[index] = weight and scales the others so the
-  /// sum stays 1. Sessions apply it to their per-spec overlay so the
-  /// engine's shared model is never touched.
+  /// Sets (*weights)[index] = weight and rescales the others proportionally
+  /// so the sum stays 1 — the "turn this knob" user feedback. Sessions
+  /// apply it to their per-spec overlay.
   static Status RescaleWeight(std::vector<double>* weights, int index,
                               double weight);
 

@@ -46,14 +46,12 @@ class LiveUniverse {
  public:
   struct Options {
     /// Similarity-graph floor (must match any θ used later, see Engine).
+    /// Outside [0, 1], or NaN, status() reports it.
     double similarity_floor = 0.25;
     /// Attribute similarity measure (null = the paper's 3-gram Jaccard).
     std::unique_ptr<AttributeSimilarity> similarity;
     /// Breaker policy for the per-source health registry.
     CircuitBreaker::Options breaker;
-    /// Simulated backoff milliseconds charged to a source per failed
-    /// stale-refresh (budget accounting in the health registry).
-    double refresh_retry_cost_ms = 50.0;
     /// Hard capacity in source ids (0 = unbounded). Add-events that would
     /// grow the universe past this many sources fail with
     /// FailedPrecondition instead of being applied. Set it when downstream
@@ -77,12 +75,13 @@ class LiveUniverse {
   SourceHealthRegistry& health() { return health_; }
   const SourceHealthRegistry& health() const { return health_; }
 
-  /// OK unless a source of the universe given to the constructor breaks
-  /// the rules Apply enforces on new sources (negative cardinality,
-  /// non-finite characteristic or staleness, or a signature format that
-  /// differs from the other signed sources', which no union estimate can
-  /// merge); then an InvalidArgument naming the first offending source,
-  /// which every Engine call that evaluates returns.
+  /// OK unless Options::similarity_floor is outside [0, 1] (the graph is
+  /// then built at floor 1), or a source of the universe given to the
+  /// constructor breaks the rules Apply enforces on new sources (negative
+  /// cardinality, non-finite characteristic or staleness, or a signature
+  /// format that differs from the other signed sources', which no union
+  /// estimate can merge; the error names the first offending source). The
+  /// InvalidArgument is returned by every Engine call that evaluates.
   const Status& status() const { return status_; }
 
   /// Bumped by every successfully applied event.
@@ -123,7 +122,6 @@ class LiveUniverse {
   SourceHealthRegistry health_;
   /// Full descriptions of removed sources, stashed for revival.
   std::map<SourceId, DataSource> tombstones_;
-  double refresh_retry_cost_ms_;
   int max_sources_ = 0;
   /// SignatureFormat shared by every signed source; empty until one exists.
   std::string signature_format_;

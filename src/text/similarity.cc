@@ -1,12 +1,10 @@
 #include "text/similarity.h"
 
 #include <algorithm>
-#include <cmath>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "text/ngram.h"
-#include "util/check.h"
 #include "util/strings.h"
 
 namespace ube {
@@ -42,111 +40,6 @@ double LevenshteinSimilarity::Score(std::string_view a,
   size_t longest = std::max(na.size(), nb.size());
   size_t dist = LevenshteinDistance(na, nb);
   return 1.0 - static_cast<double>(dist) / static_cast<double>(longest);
-}
-
-double JaroSimilarity(std::string_view a, std::string_view b) {
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  const int len_a = static_cast<int>(a.size());
-  const int len_b = static_cast<int>(b.size());
-  const int window = std::max(0, std::max(len_a, len_b) / 2 - 1);
-
-  std::vector<bool> matched_a(a.size(), false);
-  std::vector<bool> matched_b(b.size(), false);
-  int matches = 0;
-  for (int i = 0; i < len_a; ++i) {
-    int lo = std::max(0, i - window);
-    int hi = std::min(len_b - 1, i + window);
-    for (int j = lo; j <= hi; ++j) {
-      if (!matched_b[j] && a[i] == b[j]) {
-        matched_a[i] = true;
-        matched_b[j] = true;
-        ++matches;
-        break;
-      }
-    }
-  }
-  if (matches == 0) return 0.0;
-
-  // Count transpositions among matched characters.
-  int transpositions = 0;
-  int j = 0;
-  for (int i = 0; i < len_a; ++i) {
-    if (!matched_a[i]) continue;
-    while (!matched_b[j]) ++j;
-    if (a[i] != b[j]) ++transpositions;
-    ++j;
-  }
-  double m = matches;
-  return (m / len_a + m / len_b + (m - transpositions / 2.0) / m) / 3.0;
-}
-
-double JaroWinklerSimilarity::Score(std::string_view a,
-                                    std::string_view b) const {
-  std::string na = NormalizeAttributeName(a);
-  std::string nb = NormalizeAttributeName(b);
-  double jaro = JaroSimilarity(na, nb);
-  if (prefix_scale_ <= 0.0) return jaro;
-  int prefix = 0;
-  for (size_t i = 0; i < std::min({na.size(), nb.size(), size_t{4}}); ++i) {
-    if (na[i] != nb[i]) break;
-    ++prefix;
-  }
-  return jaro + prefix * prefix_scale_ * (1.0 - jaro);
-}
-
-double TokenCosineSimilarity::Score(std::string_view a,
-                                    std::string_view b) const {
-  std::vector<std::string> ta = SplitTokens(NormalizeAttributeName(a));
-  std::vector<std::string> tb = SplitTokens(NormalizeAttributeName(b));
-  // Equal token vectors must score exactly 1 (the interface contract);
-  // sqrt(n)*sqrt(n) below can round to just under n.
-  if (ta == tb) return 1.0;
-  if (ta.empty() || tb.empty()) return 0.0;
-
-  std::map<std::string, std::pair<int, int>> counts;
-  for (const auto& t : ta) counts[t].first++;
-  for (const auto& t : tb) counts[t].second++;
-
-  double dot = 0.0, norm_a = 0.0, norm_b = 0.0;
-  for (const auto& [token, c] : counts) {
-    dot += static_cast<double>(c.first) * c.second;
-    norm_a += static_cast<double>(c.first) * c.first;
-    norm_b += static_cast<double>(c.second) * c.second;
-  }
-  if (norm_a == 0.0 || norm_b == 0.0) return 0.0;
-  return dot / (std::sqrt(norm_a) * std::sqrt(norm_b));
-}
-
-void HybridSimilarity::Add(std::unique_ptr<AttributeSimilarity> measure,
-                           double weight) {
-  UBE_CHECK(measure != nullptr, "HybridSimilarity::Add requires a measure");
-  UBE_CHECK(weight >= 0.0, "member weight must be non-negative");
-  members_.emplace_back(std::move(measure), weight);
-}
-
-double HybridSimilarity::Score(std::string_view a, std::string_view b) const {
-  UBE_CHECK(!members_.empty(), "HybridSimilarity has no member measures");
-  switch (combine_) {
-    case Combine::kMax: {
-      double best = 0.0;
-      for (const auto& [measure, weight] : members_) {
-        best = std::max(best, measure->Score(a, b));
-      }
-      return best;
-    }
-    case Combine::kWeightedMean: {
-      double total_weight = 0.0;
-      double sum = 0.0;
-      for (const auto& [measure, weight] : members_) {
-        sum += weight * measure->Score(a, b);
-        total_weight += weight;
-      }
-      return total_weight > 0.0 ? sum / total_weight : 0.0;
-    }
-  }
-  UBE_CHECK(false, "unknown combine mode");
-  return 0.0;
 }
 
 std::unique_ptr<AttributeSimilarity> MakeDefaultSimilarity() {

@@ -3,8 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 #include <string_view>
 
 namespace ube {
@@ -47,67 +45,9 @@ class LevenshteinSimilarity final : public AttributeSimilarity {
   std::string_view name() const override { return "levenshtein"; }
 };
 
-/// Jaro or Jaro-Winkler similarity (Winkler prefix boost optional), one of
-/// the classic name-matching measures from the Cohen et al. study the paper
-/// cites for string distance metrics.
-class JaroWinklerSimilarity final : public AttributeSimilarity {
- public:
-  /// prefix_scale = 0 gives plain Jaro; the conventional Winkler scale is
-  /// 0.1 with up to 4 prefix characters.
-  explicit JaroWinklerSimilarity(double prefix_scale = 0.1)
-      : prefix_scale_(prefix_scale) {}
-  double Score(std::string_view a, std::string_view b) const override;
-  std::string_view name() const override { return "jaro-winkler"; }
-
- private:
-  double prefix_scale_;
-};
-
-/// Cosine similarity over whitespace-delimited word tokens — useful for
-/// multi-word interface labels ("publication year" vs "year published").
-class TokenCosineSimilarity final : public AttributeSimilarity {
- public:
-  double Score(std::string_view a, std::string_view b) const override;
-  std::string_view name() const override { return "token-cosine"; }
-};
-
-/// Combines several measures into one score — useful when no single
-/// measure dominates (e.g. n-gram Jaccard for word-order-insensitive
-/// matches plus Jaro-Winkler for typo tolerance). Section 3 allows any
-/// similarity measure; this is the standard way to build ensemble ones.
-class HybridSimilarity final : public AttributeSimilarity {
- public:
-  enum class Combine {
-    kMax,          ///< most optimistic member wins
-    kWeightedMean, ///< weighted average (weights normalized internally)
-  };
-
-  explicit HybridSimilarity(Combine combine = Combine::kMax)
-      : combine_(combine) {}
-
-  /// Adds a member measure. `weight` only matters for kWeightedMean;
-  /// weights need not sum to 1 (they are normalized). Must be called at
-  /// least once before Score.
-  void Add(std::unique_ptr<AttributeSimilarity> measure, double weight = 1.0);
-
-  double Score(std::string_view a, std::string_view b) const override;
-  std::string_view name() const override { return "hybrid"; }
-
-  int num_members() const { return static_cast<int>(members_.size()); }
-  Combine combine() const { return combine_; }
-
- private:
-  Combine combine_;
-  std::vector<std::pair<std::unique_ptr<AttributeSimilarity>, double>>
-      members_;
-};
-
 /// Raw edit distance (exposed for tests and for users building their own
 /// measures).
 size_t LevenshteinDistance(std::string_view a, std::string_view b);
-
-/// Plain Jaro similarity in [0, 1].
-double JaroSimilarity(std::string_view a, std::string_view b);
 
 /// Factory for the paper's default measure (3-gram Jaccard).
 std::unique_ptr<AttributeSimilarity> MakeDefaultSimilarity();

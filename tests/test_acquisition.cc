@@ -610,9 +610,9 @@ TEST(EngineAcquisitionTest, EngineIdValidationReportsInsteadOfAborting) {
       engine.EvaluateCandidate(spec, {0, 99});
   ASSERT_FALSE(eval.ok());
   EXPECT_EQ(eval.status().code(), StatusCode::kInvalidArgument);
-  Result<MatchResult> match = engine.MatchSources(spec, {-2});
-  ASSERT_FALSE(match.ok());
-  EXPECT_EQ(match.status().code(), StatusCode::kInvalidArgument);
+  eval = engine.EvaluateCandidate(spec, {-2});
+  ASSERT_FALSE(eval.ok());
+  EXPECT_EQ(eval.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SourceHealthRegistryTest, TripsAndBlocksWithoutConsumingHalfOpenProbe) {

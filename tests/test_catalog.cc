@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -406,7 +407,11 @@ TEST(CatalogFileTest, SaveAndLoadRoundTrip) {
   config.scale = 0.001;
   GeneratedWorkload workload = GenerateWorkload(config);
   std::string path = ::testing::TempDir() + "/ube_catalog_test.txt";
-  ASSERT_TRUE(SaveCatalogFile(workload.universe, path).ok());
+  {
+    std::ofstream file(path);
+    ASSERT_TRUE(file.good()) << path;
+    file << WriteCatalog(workload.universe);
+  }
   Result<Universe> loaded = LoadCatalogFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->num_sources(), 8);

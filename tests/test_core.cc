@@ -105,9 +105,10 @@ TEST(EngineTest, NonFiniteThetaRejected) {
                                            FastSolve());
     ASSERT_FALSE(solved.ok());
     EXPECT_EQ(solved.status().code(), StatusCode::kInvalidArgument);
-    Result<MatchResult> match = engine.MatchSources(spec, {0, 1, 2, 3, 4});
-    ASSERT_FALSE(match.ok());
-    EXPECT_EQ(match.status().code(), StatusCode::kInvalidArgument);
+    Result<CandidateEvaluator::Evaluation> eval =
+        engine.EvaluateCandidate(spec, {0, 1, 2, 3, 4});
+    ASSERT_FALSE(eval.ok());
+    EXPECT_EQ(eval.status().code(), StatusCode::kInvalidArgument);
   }
 
   Session session(&engine);
@@ -166,13 +167,34 @@ TEST(EngineTest, EvaluateCandidateScoresUserSet) {
   EXPECT_FALSE(engine.EvaluateCandidate(spec, {0, 1}).ok());
 }
 
-TEST(EngineTest, MatchSourcesRunsMatcherOnly) {
-  Engine engine = MakeEngine();
-  ProblemSpec spec;
-  Result<MatchResult> match = engine.MatchSources(spec, {0, 1, 2, 3, 4});
-  ASSERT_TRUE(match.ok());
-  EXPECT_TRUE(match->valid);
-  EXPECT_GT(match->schema.num_gas(), 0);
+// A similarity floor outside [0, 1], NaN included, is an engine option a
+// caller supplies, so it is a Status: the engine is still built, and every
+// call that evaluates returns InvalidArgument.
+TEST(EngineTest, SimilarityFloorOutOfRangeIsAStatus) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), -0.1, 1.5,
+                     std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    GeneratedWorkload w = GenerateWorkload(SmallConfig(20));
+    Engine::Options options;
+    options.similarity_floor = bad;
+    Engine engine(std::move(w.universe), QualityModel::MakeDefault(),
+                  std::move(options));
+    ProblemSpec spec;
+    spec.max_sources = 5;
+
+    Result<Solution> solution =
+        engine.Solve(spec, SolverKind::kTabu, FastSolve());
+    EXPECT_EQ(solution.status().code(), StatusCode::kInvalidArgument);
+    Result<CandidateEvaluator::Evaluation> evaluation =
+        engine.EvaluateCandidate(spec, {0, 1, 2});
+    EXPECT_EQ(evaluation.status().code(), StatusCode::kInvalidArgument);
+    Result<std::vector<SourceId>> seed =
+        engine.RepairSeed(spec, {0, 1, 2}, RepairOptions{});
+    EXPECT_EQ(seed.status().code(), StatusCode::kInvalidArgument);
+    Result<ContinuousReport> report =
+        engine.RunContinuous(spec, ChurnTrace{}, ContinuousOptions{});
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(EngineTest, CustomSimilarityMeasure) {
@@ -588,11 +610,13 @@ TEST(ReportTest, FormatSolutionMentionsSourcesAndQefs) {
 TEST(ReportTest, FormatMediatedSchemaShowsAttributeNames) {
   Engine engine = MakeEngine(10);
   ProblemSpec spec;
-  Result<MatchResult> match =
-      engine.MatchSources(spec, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
-  ASSERT_TRUE(match.ok());
-  ASSERT_GT(match->schema.num_gas(), 0);
-  std::string text = FormatMediatedSchema(match->schema, match->ga_qualities,
+  spec.max_sources = 10;
+  Result<CandidateEvaluator::Evaluation> eval =
+      engine.EvaluateCandidate(spec, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
+  ASSERT_TRUE(eval.ok()) << eval.status();
+  const MatchResult& match = eval->match;
+  ASSERT_GT(match.schema.num_gas(), 0);
+  std::string text = FormatMediatedSchema(match.schema, match.ga_qualities,
                                           engine.universe());
   EXPECT_NE(text.find("GA 0"), std::string::npos);
   EXPECT_NE(text.find("books-src-"), std::string::npos);

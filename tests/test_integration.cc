@@ -166,11 +166,16 @@ TEST_F(IntegrationTest, WeightBiasShiftsSolutions) {
 
   auto solution_cardinality = [&](double card_weight) {
     QualityModel model = QualityModel::MakeDefault();
-    EXPECT_TRUE(model.SetWeightRescaling("cardinality", card_weight).ok());
+    ProblemSpec weighted = spec;
+    weighted.weight_overlay = model.weights();
+    EXPECT_TRUE(QualityModel::RescaleWeight(&weighted.weight_overlay,
+                                            model.FindQef("cardinality"),
+                                            card_weight)
+                    .ok());
     GeneratedWorkload w = GenerateWorkload(ScaledConfig(60));
     Engine engine(std::move(w.universe), std::move(model));
     Result<Solution> solution =
-        engine.Solve(spec, SolverKind::kTabu, MediumSolve());
+        engine.Solve(weighted, SolverKind::kTabu, MediumSolve());
     EXPECT_TRUE(solution.ok());
     int64_t total = 0;
     for (SourceId s : solution->sources) {

@@ -303,6 +303,31 @@ TEST(LiveUniverseTest, StaleRefreshAndDriftUpdateStatistics) {
   EXPECT_EQ(live.universe().source(0).cardinality(), 2 * cardinality);
 }
 
+// A successful stale refresh (staleness 0) closes the source's breaker and
+// clears its failure streak; a failed one (staleness > 0) counts as a
+// failure. Default breaker: three consecutive failures trip it.
+TEST(LiveUniverseTest, SuccessfulStaleRefreshResetsTheBreaker) {
+  LiveUniverse live(SmallUniverse(6));
+  auto refresh = [&live](double t, double staleness) {
+    ChurnEvent event;
+    event.time_ms = t;
+    event.kind = ChurnEventKind::kStaleRefresh;
+    event.source = 0;
+    event.staleness = staleness;
+    ASSERT_TRUE(live.Apply(event).ok());
+  };
+  refresh(100.0, 0.5);
+  refresh(200.0, 0.5);
+  refresh(300.0, 0.0);  // success: the streak of two is forgotten
+  refresh(400.0, 0.5);
+  EXPECT_FALSE(live.health().IsBlocked(0, 400.0));
+  refresh(500.0, 0.5);
+  refresh(600.0, 0.5);  // third failure in a row trips the breaker
+  EXPECT_TRUE(live.health().IsBlocked(0, 600.0));
+  refresh(700.0, 0.0);
+  EXPECT_FALSE(live.health().IsBlocked(0, 700.0));
+}
+
 TEST(LiveUniverseTest, AggregatesStayConsistentUnderChurn) {
   Universe universe = SmallUniverse();
   LiveUniverse live(std::move(universe));

@@ -1,21 +1,13 @@
-// The schema-drift and fault-coupled-feed oracles.
+// The schema-drift oracle.
 //
-// Drift oracle: after every churn event of a drift-heavy trace (attribute
-// renames, adds and drops mixed with the source-level kinds), the
-// incrementally patched similarity graph must be Fingerprint()-identical to
-// a from-scratch rebuild over the mutated universe, and a matcher over the
-// patched graph must produce byte-identical Match output
-// (MatchResultFingerprint) to one over the rebuilt graph. Exercised across
-// >= 50 seeded traces.
+// After every churn event of a drift-heavy trace (attribute renames, adds
+// and drops mixed with the source-level kinds), the incrementally patched
+// similarity graph must be Fingerprint()-identical to a from-scratch
+// rebuild over the mutated universe, and a matcher over the patched graph
+// must produce byte-identical Match output (MatchResultFingerprint) to one
+// over the rebuilt graph. Exercised across >= 50 seeded traces.
 //
-// Fault-coupled oracle: GenerateFaultCoupledTrace is a pure function of
-// (universe content, options) — the same seed and fault plan replay to a
-// bit-identical trace (ChurnTraceFingerprint) and identical stats; all-zero
-// rates reproduce the base feed exactly; and RunContinuous over a coupled
-// trace replays bit-identically across thread counts.
-//
-// UBE_PROPERTY_SEED reruns a named failure; UBE_FAULT_RATE elevates the
-// fault pressure of the coupled suite (see TESTING.md).
+// UBE_PROPERTY_SEED reruns a named failure (see TESTING.md).
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -23,18 +15,14 @@
 #include <gtest/gtest.h>
 
 #include "catalog/change_feed.h"
-#include "core/engine.h"
 #include "matching/cluster_matcher.h"
 #include "matching/similarity_graph.h"
-#include "source/fault_coupled_feed.h"
 #include "source/flaky.h"
 #include "source/live_universe.h"
 #include "testkit/generators.h"
 #include "testkit/property.h"
 #include "text/similarity.h"
-#include "util/fault_injection.h"
 #include "util/rng.h"
-#include "workload/generator.h"
 
 namespace ube {
 namespace {
@@ -91,7 +79,7 @@ TEST(DriftPropertyTest, PatchedGraphAndMatcherMatchRebuild) {
     const bool ngram = rng.Bernoulli(0.5);
     auto make_measure = [ngram]() -> std::unique_ptr<AttributeSimilarity> {
       if (ngram) return MakeDefaultSimilarity();
-      return std::make_unique<JaroWinklerSimilarity>(0.1);
+      return std::make_unique<LevenshteinSimilarity>();
     };
     LiveUniverse::Options live_options;
     live_options.similarity = make_measure();
@@ -147,121 +135,6 @@ TEST(DriftPropertyTest, TraceFingerprintIsSeedStable) {
       EXPECT_NE(ChurnTraceFingerprint(a), ChurnTraceFingerprint(other));
     }
   }
-}
-
-// Fault rates for the coupled suite: enough pressure to trip breakers in
-// most traces, overridable via UBE_FAULT_RATE for chaos soaks.
-FaultRates CoupledRates() {
-  FaultRates defaults;
-  defaults.transient = 0.10;
-  defaults.timeout = 0.05;
-  defaults.stale = 0.05;
-  return FaultPlan::RatesFromEnv(defaults);
-}
-
-FaultCoupledOptions CoupledOptions(uint64_t feed_seed, uint64_t fault_seed) {
-  FaultCoupledOptions options;
-  options.feed = DriftHeavyFeed(feed_seed);
-  options.feed.horizon_ms = 12'000.0;
-  options.rates = CoupledRates();
-  options.fault_seed = fault_seed;
-  options.probe_period_ms = 800.0;
-  return options;
-}
-
-// Replay contract: the coupled trace and its stats are a pure function of
-// (universe content, options); the fault seed is real weather (different
-// seed, different trace); zero rates reproduce the base feed bit-for-bit.
-TEST(FaultCoupledPropertyTest, ReplayIsBitIdentical) {
-  PropertyRunner runner("fault-coupled-replay", 20);
-  int64_t total_probes = 0;
-  int total_fault_events = 0;
-  for (int c = 0; c < runner.num_cases(); ++c) {
-    SCOPED_TRACE(runner.Replay(c));
-    Rng rng = runner.CaseRng(c);
-    testkit::UniverseGenOptions gen;
-    gen.min_sources = 6;
-    gen.max_sources = 10;
-    Universe universe = testkit::GenerateUniverse(rng, gen);
-    const uint64_t feed_seed = rng.Next64();
-    const uint64_t fault_seed = rng.Next64();
-
-    const FaultCoupledOptions options = CoupledOptions(feed_seed, fault_seed);
-    FaultCoupledTrace a = GenerateFaultCoupledTrace(universe, options).value();
-    FaultCoupledTrace b = GenerateFaultCoupledTrace(universe, options).value();
-    ASSERT_EQ(ChurnTraceFingerprint(a.trace), ChurnTraceFingerprint(b.trace));
-    ASSERT_TRUE(a.stats == b.stats);
-    total_probes += a.stats.probes;
-    total_fault_events += a.stats.fault_removes + a.stats.fault_revives +
-                          a.stats.fault_stale_refreshes;
-
-    // Different fault weather over the same base schedule.
-    FaultCoupledOptions reweathered = options;
-    reweathered.fault_seed = fault_seed ^ 0xbad5eedull;
-    FaultCoupledTrace w =
-        GenerateFaultCoupledTrace(universe, reweathered).value();
-    if (a.stats.probe_failures + w.stats.probe_failures > 0) {
-      EXPECT_NE(ChurnTraceFingerprint(a.trace), ChurnTraceFingerprint(w.trace));
-    }
-
-    // Zero rates: the probe layer vanishes, leaving the base feed exactly.
-    FaultCoupledOptions quiet = options;
-    quiet.rates = FaultRates{};
-    FaultCoupledTrace q = GenerateFaultCoupledTrace(universe, quiet).value();
-    ChurnTrace base = GenerateChurnTrace(universe, quiet.feed).value();
-    ASSERT_EQ(ChurnTraceFingerprint(q.trace), ChurnTraceFingerprint(base));
-    EXPECT_EQ(q.stats.probes, 0);
-  }
-  // The suite as a whole must exercise the probe layer.
-  EXPECT_GT(total_probes, 0);
-  EXPECT_GT(total_fault_events, 0);
-}
-
-// End-to-end determinism: RunContinuous over a fault-coupled trace replays
-// bit-identically — per-step incumbents, qualities, budgets, escalation
-// reasons — across thread counts (1 vs auto).
-TEST(FaultCoupledPropertyTest, ContinuousReplayAcrossThreadCounts) {
-  WorkloadConfig workload;
-  workload.num_sources = 24;
-  workload.scale = 0.001;
-  Universe universe = GenerateWorkload(workload).universe;
-
-  FaultCoupledOptions options = CoupledOptions(/*feed_seed=*/17,
-                                               /*fault_seed=*/23);
-  FaultCoupledTrace coupled =
-      GenerateFaultCoupledTrace(universe, options).value();
-  ASSERT_FALSE(coupled.trace.events.empty());
-
-  ProblemSpec spec;
-  spec.max_sources = 6;
-  auto run = [&](int num_threads) {
-    ContinuousOptions continuous;
-    continuous.solver_options.seed = 42;
-    continuous.solver_options.max_iterations = 120;
-    continuous.solver_options.stall_iterations = 40;
-    continuous.solver_options.num_threads = num_threads;
-    continuous.repair.max_iterations = 30;
-    Engine engine(CloneUniverse(universe), QualityModel::MakeDefault());
-    return engine.RunContinuous(spec, coupled.trace, continuous);
-  };
-  Result<ContinuousReport> a = run(1);
-  Result<ContinuousReport> b = run(0);  // auto thread count
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
-  EXPECT_EQ(a->events_applied, static_cast<int>(coupled.trace.events.size()));
-  ASSERT_EQ(a->steps.size(), b->steps.size());
-  for (size_t i = 0; i < a->steps.size(); ++i) {
-    const ContinuousStep& sa = a->steps[i];
-    const ContinuousStep& sb = b->steps[i];
-    EXPECT_EQ(sa.incumbent, sb.incumbent) << "step " << i;
-    EXPECT_EQ(sa.quality_after, sb.quality_after) << "step " << i;
-    EXPECT_EQ(sa.repair_budget, sb.repair_budget) << "step " << i;
-    EXPECT_EQ(sa.escalation_reason, sb.escalation_reason) << "step " << i;
-    EXPECT_EQ(sa.drift_events, sb.drift_events) << "step " << i;
-    EXPECT_EQ(sa.evaluations, sb.evaluations) << "step " << i;
-  }
-  EXPECT_EQ(a->final_solution.sources, b->final_solution.sources);
-  EXPECT_EQ(a->final_solution.quality, b->final_solution.quality);
 }
 
 }  // namespace

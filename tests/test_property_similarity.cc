@@ -2,11 +2,8 @@
 //
 // Every AttributeSimilarity must be symmetric, return 1 on identical
 // inputs, and stay in [0, 1] (the interface contract the matcher relies
-// on). Beyond the shared axioms, measure-specific theorems: n-gram Jaccard
-// satisfies the Jaccard triangle bound (1 − J is a metric on n-gram sets),
-// Jaro-Winkler never scores below plain Jaro (the prefix boost is
-// non-negative), and HybridSimilarity's kMax is the pointwise max of its
-// members and dominates kWeightedMean.
+// on). Beyond the shared axioms, n-gram Jaccard satisfies the Jaccard
+// triangle bound (1 − J is a metric on n-gram sets).
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -69,20 +66,7 @@ std::vector<std::unique_ptr<AttributeSimilarity>> AllMeasures() {
   measures.push_back(std::make_unique<NgramJaccardSimilarity>(2));
   measures.push_back(std::make_unique<NgramJaccardSimilarity>(3));
   measures.push_back(std::make_unique<LevenshteinSimilarity>());
-  measures.push_back(std::make_unique<JaroWinklerSimilarity>(0.1));
-  measures.push_back(std::make_unique<JaroWinklerSimilarity>(0.0));
-  measures.push_back(std::make_unique<TokenCosineSimilarity>());
   measures.push_back(MakeDefaultSimilarity());
-  auto hybrid_max =
-      std::make_unique<HybridSimilarity>(HybridSimilarity::Combine::kMax);
-  hybrid_max->Add(std::make_unique<NgramJaccardSimilarity>(3));
-  hybrid_max->Add(std::make_unique<JaroWinklerSimilarity>());
-  measures.push_back(std::move(hybrid_max));
-  auto hybrid_mean = std::make_unique<HybridSimilarity>(
-      HybridSimilarity::Combine::kWeightedMean);
-  hybrid_mean->Add(std::make_unique<NgramJaccardSimilarity>(3), 2.0);
-  hybrid_mean->Add(std::make_unique<LevenshteinSimilarity>(), 1.0);
-  measures.push_back(std::move(hybrid_mean));
   return measures;
 }
 
@@ -127,59 +111,6 @@ TEST(SimilarityPropertyTest, NgramJaccardTriangleBound) {
       EXPECT_GE(measure->Score(a, d),
                 measure->Score(a, b) + measure->Score(b, d) - 1.0 - 1e-12);
     }
-  }
-}
-
-// The Winkler prefix boost adds prefix · scale · (1 − jaro) >= 0.
-TEST(SimilarityPropertyTest, WinklerBoostNeverBelowPlainJaro) {
-  PropertyRunner runner("winkler-dominates-jaro", 300);
-  JaroWinklerSimilarity winkler(0.1);
-  JaroWinklerSimilarity plain(0.0);
-  for (int c = 0; c < runner.num_cases(); ++c) {
-    SCOPED_TRACE(runner.Replay(c));
-    Rng rng = runner.CaseRng(c);
-    const std::string a = RandomName(rng);
-    const std::string b = RandomName(rng);
-    SCOPED_TRACE("a=\"" + a + "\" b=\"" + b + "\"");
-    EXPECT_GE(winkler.Score(a, b), plain.Score(a, b) - 1e-12);
-  }
-}
-
-// HybridSimilarity laws: kMax is exactly the member max; kWeightedMean lies
-// within the member range (hence kMax dominates it for the same members).
-TEST(SimilarityPropertyTest, HybridCombinatorLaws) {
-  PropertyRunner runner("hybrid-combinators", 200);
-  NgramJaccardSimilarity trigram(3);
-  JaroWinklerSimilarity winkler(0.1);
-  TokenCosineSimilarity cosine;
-
-  HybridSimilarity as_max(HybridSimilarity::Combine::kMax);
-  as_max.Add(std::make_unique<NgramJaccardSimilarity>(3));
-  as_max.Add(std::make_unique<JaroWinklerSimilarity>(0.1));
-  as_max.Add(std::make_unique<TokenCosineSimilarity>());
-
-  HybridSimilarity as_mean(HybridSimilarity::Combine::kWeightedMean);
-  as_mean.Add(std::make_unique<NgramJaccardSimilarity>(3), 0.5);
-  as_mean.Add(std::make_unique<JaroWinklerSimilarity>(0.1), 1.5);
-  as_mean.Add(std::make_unique<TokenCosineSimilarity>(), 1.0);
-
-  for (int c = 0; c < runner.num_cases(); ++c) {
-    SCOPED_TRACE(runner.Replay(c));
-    Rng rng = runner.CaseRng(c);
-    const std::string a = RandomName(rng);
-    const std::string b = RandomName(rng);
-    SCOPED_TRACE("a=\"" + a + "\" b=\"" + b + "\"");
-    const double s1 = trigram.Score(a, b);
-    const double s2 = winkler.Score(a, b);
-    const double s3 = cosine.Score(a, b);
-    const double lo = std::min({s1, s2, s3});
-    const double hi = std::max({s1, s2, s3});
-
-    EXPECT_DOUBLE_EQ(as_max.Score(a, b), hi);
-    const double mean = as_mean.Score(a, b);
-    EXPECT_GE(mean, lo - 1e-12);
-    EXPECT_LE(mean, hi + 1e-12);
-    EXPECT_GE(as_max.Score(a, b), mean - 1e-12);
   }
 }
 
@@ -485,7 +416,7 @@ TEST(SimilarityPropertyTest, PatchedGraphMatchesRebuildUnderChurn) {
     const bool ngram = rng.Bernoulli(0.5);
     auto make_measure = [ngram]() -> std::unique_ptr<AttributeSimilarity> {
       if (ngram) return MakeDefaultSimilarity();
-      return std::make_unique<JaroWinklerSimilarity>(0.1);
+      return std::make_unique<LevenshteinSimilarity>();
     };
     LiveUniverse::Options live_options;
     live_options.similarity = make_measure();

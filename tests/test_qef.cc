@@ -303,33 +303,27 @@ TEST(QualityModelTest, WeightValidation) {
   EXPECT_FALSE(model.ValidateWeights().ok());  // sum != 1
   model.AddQef(std::make_unique<CoverageQef>(), 0.4);
   EXPECT_TRUE(model.ValidateWeights().ok());
-  EXPECT_FALSE(model.SetWeights({0.5}).ok());        // wrong count
-  EXPECT_FALSE(model.SetWeights({1.5, -0.5}).ok());  // out of range
-  EXPECT_FALSE(model.SetWeights({0.9, 0.3}).ok());   // sum != 1
-  EXPECT_TRUE(model.SetWeights({0.3, 0.7}).ok());
-  EXPECT_DOUBLE_EQ(model.weight(0), 0.3);
+  EXPECT_FALSE(model.ValidateWeightVector({0.5}).ok());        // wrong count
+  EXPECT_FALSE(model.ValidateWeightVector({1.5, -0.5}).ok());  // out of range
+  EXPECT_FALSE(model.ValidateWeightVector({0.9, 0.3}).ok());   // sum != 1
+  EXPECT_TRUE(model.ValidateWeightVector({0.3, 0.7}).ok());
 }
 
-TEST(QualityModelTest, FailedSetWeightsRollsBack) {
-  QualityModel model;
-  model.AddQef(std::make_unique<CardinalityQef>(), 0.5);
-  model.AddQef(std::make_unique<CoverageQef>(), 0.5);
-  EXPECT_FALSE(model.SetWeights({0.9, 0.9}).ok());
-  EXPECT_DOUBLE_EQ(model.weight(0), 0.5);  // unchanged
-  EXPECT_TRUE(model.ValidateWeights().ok());
-}
-
-TEST(QualityModelTest, SetWeightRescalingKeepsSumOne) {
+TEST(QualityModelTest, RescaleWeightKeepsSumOne) {
   QualityModel model = QualityModel::MakeDefault();
-  ASSERT_TRUE(model.SetWeightRescaling("cardinality", 0.6).ok());
-  EXPECT_DOUBLE_EQ(model.weight(1), 0.6);
+  std::vector<double> w = model.weights();
+  ASSERT_TRUE(QualityModel::RescaleWeight(&w, 1, 0.6).ok());
+  EXPECT_DOUBLE_EQ(w[1], 0.6);
   double sum = 0.0;
-  for (int i = 0; i < model.num_qefs(); ++i) sum += model.weight(i);
+  for (double x : w) sum += x;
   EXPECT_NEAR(sum, 1.0, 1e-12);
+  EXPECT_TRUE(model.ValidateWeightVector(w).ok());
   // Remaining weights keep their relative proportions (0.25 : 0.2 : ...).
-  EXPECT_NEAR(model.weight(0) / model.weight(2), 0.25 / 0.20, 1e-9);
-  EXPECT_FALSE(model.SetWeightRescaling("nope", 0.5).ok());
-  EXPECT_FALSE(model.SetWeightRescaling("cardinality", 1.5).ok());
+  EXPECT_NEAR(w[0] / w[2], 0.25 / 0.20, 1e-9);
+  const std::vector<double> rescaled = w;
+  EXPECT_FALSE(QualityModel::RescaleWeight(&w, 5, 0.5).ok());  // no QEF 5
+  EXPECT_FALSE(QualityModel::RescaleWeight(&w, 1, 1.5).ok());
+  EXPECT_EQ(w, rescaled);
 }
 
 // A NaN passes every `w < 0 || w > 1` and `|sum - 1| > eps` test, so each
@@ -341,17 +335,14 @@ TEST(QualityModelTest, NonFiniteWeightsRejected) {
   const std::vector<double> before = model.weights();
   for (double bad : {nan, inf, -inf}) {
     SCOPED_TRACE(bad);
-    Status status = model.SetWeights({bad, 0.25, 0.25, 0.25, 0.25});
-    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
-    status = model.SetWeightRescaling("cardinality", bad);
+    Status status =
+        model.ValidateWeightVector({bad, 0.25, 0.25, 0.25, 0.25});
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
     std::vector<double> overlay = before;
     status = QualityModel::RescaleWeight(&overlay, 1, bad);
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
     EXPECT_EQ(overlay, before);
-    EXPECT_EQ(model.weights(), before);
   }
-  EXPECT_TRUE(model.ValidateWeights().ok());
 }
 
 TEST(QualityModelTest, EvaluateIsWeightedSum) {

@@ -133,41 +133,6 @@ TEST(LevenshteinSimilarityTest, CompletelyDifferentNearZero) {
   EXPECT_LT(sim.Score("abc", "xyz"), 0.01);
 }
 
-// ------------------------------ Jaro ------------------------------------
-
-TEST(JaroTest, KnownValues) {
-  EXPECT_NEAR(JaroSimilarity("martha", "marhta"), 0.9444, 1e-3);
-  EXPECT_NEAR(JaroSimilarity("dixon", "dicksonx"), 0.7667, 1e-3);
-  EXPECT_DOUBLE_EQ(JaroSimilarity("same", "same"), 1.0);
-  EXPECT_DOUBLE_EQ(JaroSimilarity("", ""), 1.0);
-  EXPECT_DOUBLE_EQ(JaroSimilarity("a", ""), 0.0);
-  EXPECT_DOUBLE_EQ(JaroSimilarity("abc", "xyz"), 0.0);
-}
-
-TEST(JaroWinklerTest, PrefixBoost) {
-  JaroWinklerSimilarity jw(0.1);
-  JaroWinklerSimilarity plain(0.0);
-  double boosted = jw.Score("martha", "marhta");
-  double unboosted = plain.Score("martha", "marhta");
-  EXPECT_GT(boosted, unboosted);
-  EXPECT_NEAR(boosted, 0.9611, 1e-3);
-}
-
-// --------------------------- Token cosine -------------------------------
-
-TEST(TokenCosineTest, SharedTokensScoreHigh) {
-  TokenCosineSimilarity sim;
-  EXPECT_DOUBLE_EQ(sim.Score("publication year", "year publication"), 1.0);
-  EXPECT_NEAR(sim.Score("publication year", "year published"), 0.5, 1e-9);
-  EXPECT_DOUBLE_EQ(sim.Score("alpha beta", "gamma delta"), 0.0);
-}
-
-TEST(TokenCosineTest, EmptyCases) {
-  TokenCosineSimilarity sim;
-  EXPECT_DOUBLE_EQ(sim.Score("", ""), 1.0);
-  EXPECT_DOUBLE_EQ(sim.Score("a", ""), 0.0);
-}
-
 // ---------------- Properties shared by every measure --------------------
 
 class SimilarityPropertyTest
@@ -219,10 +184,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllMeasures, SimilarityPropertyTest,
     ::testing::Values(std::make_shared<NgramJaccardSimilarity>(3),
                       std::make_shared<NgramJaccardSimilarity>(2),
-                      std::make_shared<LevenshteinSimilarity>(),
-                      std::make_shared<JaroWinklerSimilarity>(),
-                      std::make_shared<JaroWinklerSimilarity>(0.0),
-                      std::make_shared<TokenCosineSimilarity>()),
+                      std::make_shared<LevenshteinSimilarity>()),
     [](const ::testing::TestParamInfo<
         std::shared_ptr<AttributeSimilarity>>& info) {
       std::string name(info.param->name());
@@ -231,79 +193,6 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name + "_" + std::to_string(info.index);
     });
-
-// --------------------------- HybridSimilarity ---------------------------
-
-TEST(HybridSimilarityTest, MaxTakesBestMember) {
-  HybridSimilarity hybrid(HybridSimilarity::Combine::kMax);
-  hybrid.Add(std::make_unique<NgramJaccardSimilarity>(3));
-  hybrid.Add(std::make_unique<JaroWinklerSimilarity>());
-  double ngram = NgramJaccardSimilarity(3).Score("keyword", "keywrod");
-  double jw = JaroWinklerSimilarity().Score("keyword", "keywrod");
-  EXPECT_DOUBLE_EQ(hybrid.Score("keyword", "keywrod"), std::max(ngram, jw));
-  // Transposition typo: Jaro-Winkler forgives it, trigrams do not.
-  EXPECT_GT(jw, ngram);
-}
-
-TEST(HybridSimilarityTest, WeightedMean) {
-  HybridSimilarity hybrid(HybridSimilarity::Combine::kWeightedMean);
-  hybrid.Add(std::make_unique<NgramJaccardSimilarity>(3), 3.0);
-  hybrid.Add(std::make_unique<LevenshteinSimilarity>(), 1.0);
-  double ngram = NgramJaccardSimilarity(3).Score("title", "titles");
-  double lev = LevenshteinSimilarity().Score("title", "titles");
-  EXPECT_NEAR(hybrid.Score("title", "titles"),
-              (3.0 * ngram + 1.0 * lev) / 4.0, 1e-12);
-}
-
-TEST(HybridSimilarityTest, IdenticalStringsScoreOne) {
-  for (auto combine : {HybridSimilarity::Combine::kMax,
-                       HybridSimilarity::Combine::kWeightedMean}) {
-    HybridSimilarity hybrid(combine);
-    hybrid.Add(std::make_unique<NgramJaccardSimilarity>(3));
-    hybrid.Add(std::make_unique<TokenCosineSimilarity>());
-    EXPECT_DOUBLE_EQ(hybrid.Score("author name", "author name"), 1.0);
-  }
-}
-
-TEST(HybridSimilarityTest, SingleMemberIsTransparentUnderBothCombinators) {
-  for (auto combine : {HybridSimilarity::Combine::kMax,
-                       HybridSimilarity::Combine::kWeightedMean}) {
-    HybridSimilarity hybrid(combine);
-    hybrid.Add(std::make_unique<JaroWinklerSimilarity>(), 7.0);
-    EXPECT_DOUBLE_EQ(hybrid.Score("publisher", "publishers"),
-                     JaroWinklerSimilarity().Score("publisher", "publishers"));
-  }
-}
-
-TEST(HybridSimilarityTest, WeightedMeanNormalizesWeights) {
-  // {1, 3} and {0.25, 0.75} are the same mixture; scores must agree.
-  HybridSimilarity raw(HybridSimilarity::Combine::kWeightedMean);
-  raw.Add(std::make_unique<NgramJaccardSimilarity>(3), 1.0);
-  raw.Add(std::make_unique<LevenshteinSimilarity>(), 3.0);
-  HybridSimilarity normalized(HybridSimilarity::Combine::kWeightedMean);
-  normalized.Add(std::make_unique<NgramJaccardSimilarity>(3), 0.25);
-  normalized.Add(std::make_unique<LevenshteinSimilarity>(), 0.75);
-  EXPECT_NEAR(raw.Score("price", "prices"),
-              normalized.Score("price", "prices"), 1e-12);
-}
-
-TEST(HybridSimilarityTest, MaxDominatesWeightedMeanOfSameMembers) {
-  HybridSimilarity as_max(HybridSimilarity::Combine::kMax);
-  HybridSimilarity as_mean(HybridSimilarity::Combine::kWeightedMean);
-  for (HybridSimilarity* h : {&as_max, &as_mean}) {
-    h->Add(std::make_unique<NgramJaccardSimilarity>(3), 1.0);
-    h->Add(std::make_unique<JaroWinklerSimilarity>(), 2.0);
-    h->Add(std::make_unique<TokenCosineSimilarity>(), 0.5);
-  }
-  for (const char* pair : {"book title", "isbn", "zqxvw"}) {
-    EXPECT_GE(as_max.Score("title", pair), as_mean.Score("title", pair));
-  }
-}
-
-TEST(HybridSimilarityDeathTest, EmptyHybridAborts) {
-  HybridSimilarity hybrid;
-  EXPECT_DEATH(hybrid.Score("a", "b"), "no member measures");
-}
 
 TEST(DefaultSimilarityTest, IsTrigramJaccard) {
   std::unique_ptr<AttributeSimilarity> sim = MakeDefaultSimilarity();
