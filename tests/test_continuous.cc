@@ -209,6 +209,43 @@ TEST(ContinuousTest, IncumbentWipeoutEscalatesToFullResolve) {
   EXPECT_GT(report->final_solution.quality, 0.0);
 }
 
+// A source whose breaker is open at batch time is banned from that batch's
+// repair: three failed stale refreshes of an incumbent member trip its
+// breaker (default policy), so the batch evicts it although it is alive.
+TEST(ContinuousTest, OpenBreakerEvictsTheSourceFromTheIncumbent) {
+  Universe universe = MediumUniverse();
+  const ProblemSpec spec = BasicSpec();
+  ContinuousOptions options = QuickContinuous();
+
+  // Discover the initial incumbent with an identical solve.
+  Engine scout(CloneUniverse(universe), QualityModel::MakeDefault());
+  Result<Solution> initial =
+      scout.Solve(spec, options.solver, options.solver_options);
+  ASSERT_TRUE(initial.ok()) << initial.status();
+  const SourceId failing = initial->sources.front();
+
+  ChurnTrace trace;
+  for (double t : {100.0, 200.0, 300.0}) {
+    ChurnEvent refresh;
+    refresh.time_ms = t;
+    refresh.kind = ChurnEventKind::kStaleRefresh;
+    refresh.source = failing;
+    refresh.staleness = 0.5;
+    trace.events.push_back(std::move(refresh));
+  }
+
+  Engine engine(std::move(universe), QualityModel::MakeDefault());
+  Result<ContinuousReport> report =
+      engine.RunContinuous(spec, trace, options);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->steps.size(), 1u);
+  EXPECT_TRUE(engine.live().health().IsBlocked(failing, 300.0));
+  EXPECT_TRUE(engine.universe().source(failing).available());
+  EXPECT_EQ(report->steps[0].evicted, 1);
+  EXPECT_FALSE(std::binary_search(report->steps[0].incumbent.begin(),
+                                  report->steps[0].incumbent.end(), failing));
+}
+
 // The baseline policy re-solves from scratch on every batch and never runs
 // a repair — the churn_sweep bench compares the live mode against this.
 TEST(ContinuousTest, FullEverytimeBaselineNeverRepairs) {
