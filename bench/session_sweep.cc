@@ -87,8 +87,9 @@ AxisOutcome RunAxis(const Universe& universe, bool warm, int sessions,
       // and measure the wait for the re-solved schema.
       if (!session->BanSource(last->sources.back()).ok()) break;
       ++feedback_attempts[i];
+      WallTimer iterate_timer;
       if (session->Iterate().ok()) {
-        latencies[i].push_back(session->stats().last_iterate_ms);
+        latencies[i].push_back(iterate_timer.ElapsedMillis());
       }
     }
     stats[i] = session->stats();

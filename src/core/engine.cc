@@ -57,80 +57,79 @@ Engine::Engine(Acquisition acquisition, QualityModel model, Options options)
   acquisition_report_ = std::move(acquisition.report);
 }
 
-Result<ProblemSpec> Engine::EffectiveSpec(const ProblemSpec& spec) const {
-  const Universe& universe = live_.universe();
-  if (unavailable_.empty()) return spec;
+Engine::Scope::Scope(const Engine& engine, const ProblemSpec& spec,
+                     SharedQualityCache* shared_cache)
+    : engine_(engine), spec_(spec) {
+  obs::Tracer::Span span = obs::SpanIf(engine.obs_, "phase/evaluate");
+  status_ = Validate();
+  if (!status_.ok()) return;
+  const LiveUniverse& live = engine.live_;
+  // The live version is the cache epoch: a shared cache warmed before a
+  // churn event can never answer for the evolved universe.
+  evaluator_.emplace(live.universe(), live.matcher(), engine.model_, spec_,
+                     static_cast<uint64_t>(live.version()));
+  evaluator_->AttachSharedCache(shared_cache);
+}
+
+Status Engine::Scope::Validate() {
+  const LiveUniverse& live = engine_.live_;
+  UBE_RETURN_IF_ERROR(live.status());
+  const Universe& universe = live.universe();
+  const std::vector<SourceId>& dropped = engine_.unavailable_;
+  auto is_dropped = [&](SourceId s) {
+    return s >= 0 && s < universe.num_sources() &&
+           std::binary_search(dropped.begin(), dropped.end(), s);
+  };
   // A constraint pinning a dropped source can never be satisfied; report it
   // cleanly instead of letting it surface as a generic validation failure
   // (the dropped shell has an empty schema, so GA constraints on it would
   // otherwise read as "nonexistent attribute").
-  for (SourceId s : spec.source_constraints) {
-    if (s >= 0 && s < universe.num_sources() &&
-        std::binary_search(unavailable_.begin(), unavailable_.end(), s)) {
+  for (SourceId s : spec_.source_constraints) {
+    if (is_dropped(s)) {
       return Status::Unavailable(
           "source constraint pins '" + universe.source(s).name() +
           "', which was dropped during acquisition");
     }
   }
-  for (const GlobalAttribute& g : spec.ga_constraints) {
+  for (const GlobalAttribute& g : spec_.ga_constraints) {
     for (const AttributeId& id : g.attributes()) {
-      if (id.source >= 0 && id.source < universe.num_sources() &&
-          std::binary_search(unavailable_.begin(), unavailable_.end(),
-                             id.source)) {
+      if (is_dropped(id.source)) {
         return Status::Unavailable(
             "GA constraint references '" + universe.source(id.source).name() +
             "', which was dropped during acquisition");
       }
     }
   }
-  ProblemSpec effective = spec;
-  effective.banned_sources.insert(effective.banned_sources.end(),
-                                  unavailable_.begin(), unavailable_.end());
-  std::sort(effective.banned_sources.begin(), effective.banned_sources.end());
-  effective.banned_sources.erase(
-      std::unique(effective.banned_sources.begin(),
-                  effective.banned_sources.end()),
-      effective.banned_sources.end());
-  return effective;
-}
-
-Result<ProblemSpec> Engine::ValidatedSpec(const ProblemSpec& spec) const {
-  UBE_RETURN_IF_ERROR(live_.status());
-  Result<ProblemSpec> effective = EffectiveSpec(spec);
-  UBE_RETURN_IF_ERROR(effective.status());
-  UBE_RETURN_IF_ERROR(
-      CandidateEvaluator::ValidateSpec(live_.universe(), effective.value()));
-  UBE_RETURN_IF_ERROR(
-      CandidateEvaluator::ValidateOverlay(model_, effective.value()));
-  if (spec.theta < live_.graph().floor()) {
+  std::vector<SourceId>& banned = spec_.banned_sources;
+  banned.insert(banned.end(), dropped.begin(), dropped.end());
+  std::sort(banned.begin(), banned.end());
+  banned.erase(std::unique(banned.begin(), banned.end()), banned.end());
+  UBE_RETURN_IF_ERROR(CandidateEvaluator::ValidateSpec(universe, spec_));
+  const QualityModel& model = engine_.model_;
+  UBE_RETURN_IF_ERROR(model.ValidateWeightVector(
+      spec_.weight_overlay.empty() ? model.weights() : spec_.weight_overlay));
+  if (spec_.theta < live.graph().floor()) {
     return Status::InvalidArgument(
         "θ is below the engine's similarity floor; rebuild the engine with a "
         "lower Options::similarity_floor");
   }
-  return effective;
+  return Status::Ok();
+}
+
+Result<Solution> Engine::Scope::Solve(SolverKind kind,
+                                      const SolverOptions& options) const {
+  UBE_RETURN_IF_ERROR(status_);
+  // Forward the engine's context into the solve unless the caller attached
+  // their own SolverOptions::obs.
+  SolverOptions forwarded = options;
+  if (forwarded.obs == nullptr) forwarded.obs = engine_.obs_;
+  obs::Tracer::Span span = obs::SpanIf(engine_.obs_, "phase/solve");
+  return MakeSolver(kind)->Solve(*evaluator_, forwarded);
 }
 
 Result<Solution> Engine::Solve(const ProblemSpec& spec, SolverKind solver,
                                const SolverOptions& options) const {
-  Result<ProblemSpec> effective = ValidatedSpec(spec);
-  UBE_RETURN_IF_ERROR(effective.status());
-  obs::Tracer::Span evaluate_span = obs::SpanIf(obs_, "phase/evaluate");
-  // The live version is the cache epoch: a shared cache warmed before a
-  // churn event can never answer for the evolved universe.
-  CandidateEvaluator evaluator(live_.universe(), live_.matcher(), model_,
-                               effective.value(),
-                               static_cast<uint64_t>(live_.version()));
-  if (options.shared_cache != nullptr) {
-    evaluator.AttachSharedCache(options.shared_cache);
-  }
-  evaluate_span.End();
-  std::unique_ptr<Solver> impl = MakeSolver(solver);
-  // Forward the engine's context into the solve unless the caller attached
-  // their own SolverOptions::obs.
-  SolverOptions effective_options = options;
-  if (effective_options.obs == nullptr) effective_options.obs = obs_;
-  obs::Tracer::Span solve_span = obs::SpanIf(obs_, "phase/solve");
-  return impl->Solve(evaluator, effective_options);
+  return Scope(*this, spec, options.shared_cache).Solve(solver, options);
 }
 
 Result<ContinuousReport> Engine::RunContinuous(
@@ -220,31 +219,23 @@ Result<ContinuousReport> Engine::RunContinuous(
       }
     }
 
-    // Batch spec: dropped-source bans plus bans for every source whose
-    // health breaker is open at batch time — except required sources, whose
-    // absence would make the spec infeasible (the caller pinned them; an
-    // open breaker is advisory, a constraint is not).
-    Result<ProblemSpec> effective = EffectiveSpec(spec);
-    UBE_RETURN_IF_ERROR(effective.status());
-    ProblemSpec batch_spec = std::move(effective.value());
+    // Batch spec: `spec` plus bans for every source whose health breaker is
+    // open at batch time — except required sources, whose absence would
+    // make the spec infeasible (the caller pinned them; an open breaker is
+    // advisory, a constraint is not). The run object adds the dropped
+    // sources. It is built before the batch timer starts, so elapsed_ms
+    // times the repair and the escalation only.
+    ProblemSpec batch_spec = spec;
     const std::vector<SourceId> required =
-        CandidateEvaluator::RequiredSources(batch_spec);
+        CandidateEvaluator::RequiredSources(spec);
     for (SourceId s : live_.health().TrackedIds()) {
       if (live_.health().IsBlocked(s, batch_time) &&
           !std::binary_search(required.begin(), required.end(), s)) {
         batch_spec.banned_sources.push_back(s);
       }
     }
-    std::sort(batch_spec.banned_sources.begin(),
-              batch_spec.banned_sources.end());
-    batch_spec.banned_sources.erase(
-        std::unique(batch_spec.banned_sources.begin(),
-                    batch_spec.banned_sources.end()),
-        batch_spec.banned_sources.end());
-    UBE_RETURN_IF_ERROR(
-        CandidateEvaluator::ValidateSpec(live_.universe(), batch_spec));
-    CandidateEvaluator evaluator(live_.universe(), live_.matcher(), model_,
-                                 batch_spec);
+    const Scope run(*this, batch_spec);
+    UBE_RETURN_IF_ERROR(run.status());
 
     WallTimer timer(options.solver_options.clock);
     ++batch_index;
@@ -267,7 +258,8 @@ Result<ContinuousReport> Engine::RunContinuous(
       if (obs_ != nullptr) {
         obs_->metrics().Observe(repair_budget_metric, repair.eval_budget);
       }
-      RepairResult repaired = RepairIncumbent(evaluator, incumbent, repair);
+      RepairResult repaired =
+          RepairIncumbent(run.evaluator(), incumbent, repair);
       step.evicted = repaired.evicted;
       step.quality_before = repaired.seed_quality;
       if (obs_ != nullptr && step.evicted > 0) {
@@ -303,12 +295,10 @@ Result<ContinuousReport> Engine::RunContinuous(
         ++report.escalations;
         if (obs_ != nullptr) obs_->metrics().Add(escalations_metric);
       }
-      SolverOptions solver_options = options.solver_options;
-      if (solver_options.obs == nullptr) solver_options.obs = obs_;
       // Same evaluator as the repair, so breaker bans apply to the full
       // re-solve too.
       Result<Solution> solved =
-          MakeSolver(options.solver)->Solve(evaluator, solver_options);
+          run.Solve(options.solver, options.solver_options);
       UBE_RETURN_IF_ERROR(solved.status());
       ++report.full_solves;
       report.last_full_quality = solved.value().quality;
@@ -328,10 +318,10 @@ Result<ContinuousReport> Engine::RunContinuous(
 
 Result<CandidateEvaluator::Evaluation> Engine::EvaluateCandidate(
     const ProblemSpec& spec, std::vector<SourceId> sources) const {
+  const Scope run(*this, spec);
+  UBE_RETURN_IF_ERROR(run.status());
+  const CandidateEvaluator& evaluator = run.evaluator();
   const Universe& universe = live_.universe();
-  Result<ProblemSpec> resolved = ValidatedSpec(spec);
-  UBE_RETURN_IF_ERROR(resolved.status());
-  const ProblemSpec& effective = resolved.value();
   for (SourceId s : sources) {
     UBE_RETURN_IF_ERROR(universe.ValidateId(s));
   }
@@ -343,41 +333,30 @@ Result<CandidateEvaluator::Evaluation> Engine::EvaluateCandidate(
   if (static_cast<int>(sources.size()) > spec.max_sources) {
     return Status::InvalidArgument("candidate exceeds m sources");
   }
-  for (SourceId s : CandidateEvaluator::RequiredSources(spec)) {
+  for (SourceId s : evaluator.required_sources()) {
     if (!std::binary_search(sources.begin(), sources.end(), s)) {
       return Status::InvalidArgument(
           "candidate omits a source the constraints require");
     }
   }
-  for (SourceId s : effective.banned_sources) {
-    if (std::binary_search(sources.begin(), sources.end(), s)) {
-      if (std::binary_search(unavailable_.begin(), unavailable_.end(), s)) {
-        return Status::Unavailable(
-            "candidate contains '" + universe.source(s).name() +
-            "', which was dropped during acquisition");
-      }
-      return Status::InvalidArgument("candidate contains a banned source");
+  for (SourceId s : sources) {
+    if (!evaluator.IsBanned(s)) continue;
+    if (std::binary_search(unavailable_.begin(), unavailable_.end(), s)) {
+      return Status::Unavailable("candidate contains '" +
+                                 universe.source(s).name() +
+                                 "', which was dropped during acquisition");
     }
+    return Status::InvalidArgument("candidate contains a banned source");
   }
-  CandidateEvaluator evaluator(universe, live_.matcher(), model_, effective,
-                               static_cast<uint64_t>(live_.version()));
   return evaluator.Evaluate(sources);
 }
 
 Result<std::vector<SourceId>> Engine::RepairSeed(
     const ProblemSpec& spec, const std::vector<SourceId>& incumbent,
     const RepairOptions& options) const {
-  Result<ProblemSpec> effective = ValidatedSpec(spec);
-  UBE_RETURN_IF_ERROR(effective.status());
-  CandidateEvaluator evaluator(live_.universe(), live_.matcher(), model_,
-                               effective.value(),
-                               static_cast<uint64_t>(live_.version()));
-  if (options.shared_cache != nullptr) {
-    // Repair and the subsequent solve share one spec fingerprint, so the
-    // repair's evaluations pre-warm the session's solve.
-    evaluator.AttachSharedCache(options.shared_cache);
-  }
-  RepairResult repaired = RepairIncumbent(evaluator, incumbent, options);
+  const Scope run(*this, spec, options.shared_cache);
+  UBE_RETURN_IF_ERROR(run.status());
+  RepairResult repaired = RepairIncumbent(run.evaluator(), incumbent, options);
   if (!repaired.seeded) return std::vector<SourceId>{};
   return std::move(repaired.solution.sources);
 }

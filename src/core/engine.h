@@ -18,6 +18,7 @@
 #include "source/prober.h"
 #include "source/universe.h"
 #include "text/similarity.h"
+#include "util/check.h"
 #include "util/result.h"
 
 namespace ube {
@@ -136,10 +137,53 @@ class Engine {
     std::unique_ptr<AttributeSimilarity> similarity;
     /// Optional observability context. Not owned; must outlive the engine.
     /// The engine records phase spans (phase/match at construction,
-    /// phase/evaluate and phase/solve inside Solve) and forwards the
-    /// context to each Solve's SolverOptions unless the caller attached
-    /// their own there. Null (default) disables instrumentation.
+    /// phase/evaluate in every Scope, phase/solve in every Scope::Solve,
+    /// phase/churn_batch per RunContinuous batch) and forwards the context
+    /// to every solve and RunContinuous repair whose options carry none.
+    /// Null (default) disables instrumentation.
     obs::ObsContext* obs = nullptr;
+  };
+
+  /// The run object of one engine call: validates a spec once and owns the
+  /// effective spec and the one CandidateEvaluator built over it, with the
+  /// live version as cache epoch and `shared_cache` attached. Solve,
+  /// RepairSeed, EvaluateCandidate, each RunContinuous batch and
+  /// Session::Iterate build their evaluator only here. Checks, in order:
+  /// the live universe's status, constraints on dropped sources
+  /// (Unavailable), the ban list merged with the dropped sources,
+  /// ValidateSpec, the effective weights (the overlay, else the model's)
+  /// and θ against the graph floor. Repair and solve each call BeginRun, so
+  /// a solve after a repair on one scope counts as on a fresh evaluator,
+  /// while the shared store keeps the repair's values. The engine must
+  /// outlive the scope.
+  class Scope {
+   public:
+    Scope(const Engine& engine, const ProblemSpec& spec,
+          SharedQualityCache* shared_cache = nullptr);
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+    /// OK, or why the spec was rejected.
+    const Status& status() const { return status_; }
+
+    /// The evaluator over the effective spec; only on an OK scope.
+    const CandidateEvaluator& evaluator() const {
+      UBE_DCHECK(evaluator_.has_value(), "evaluator() on a failed Scope");
+      return *evaluator_;
+    }
+
+    /// Runs `kind` on evaluator(), forwarding the engine's ObsContext
+    /// unless options.obs is set; status() on a failed scope. Ignores
+    /// options.shared_cache: the scope's store is fixed.
+    Result<Solution> Solve(SolverKind kind, const SolverOptions& options) const;
+
+   private:
+    Status Validate();  // the checks above; merges bans into spec_
+
+    const Engine& engine_;
+    ProblemSpec spec_;
+    Status status_;
+    std::optional<CandidateEvaluator> evaluator_;
   };
 
   /// Takes ownership of the universe (only RunContinuous may change it
@@ -177,8 +221,8 @@ class Engine {
   /// The attached observability context (null = disabled).
   obs::ObsContext* obs() const { return obs_; }
 
-  /// Solves one µBE optimization problem. Validates the spec; infeasible
-  /// constraint sets return kInfeasible.
+  /// Solves one µBE optimization problem on a Scope over
+  /// options.shared_cache. Infeasible constraint sets return kInfeasible.
   Result<Solution> Solve(const ProblemSpec& spec,
                          SolverKind solver = SolverKind::kTabu,
                          const SolverOptions& options = SolverOptions()) const;
@@ -209,29 +253,16 @@ class Engine {
 
   /// Repairs `incumbent` against `spec` (optimize/repair: evict banned /
   /// out-of-range members, re-add required sources, bounded steepest
-  /// ascent) and returns the repaired source set — the warm-start seed
-  /// Session/SessionServer feed into SolverOptions::initial_incumbent for
-  /// the next Solve. Empty when nothing of the incumbent survives
-  /// sanitizing (callers then cold-start); a Status only for an invalid
-  /// spec. RepairOptions::shared_cache, when set, routes the repair's
-  /// evaluations through the shared cache so they pre-warm the solve.
+  /// ascent) and returns the repaired source set, a warm-start seed for
+  /// SolverOptions::initial_incumbent. Empty when nothing of the incumbent
+  /// survives sanitizing; a Status only for an invalid spec. The repair
+  /// scores through RepairOptions::shared_cache when set. Session::Iterate
+  /// repairs on its own Scope instead of calling this.
   Result<std::vector<SourceId>> RepairSeed(const ProblemSpec& spec,
                                            const std::vector<SourceId>& incumbent,
                                            const RepairOptions& options) const;
 
  private:
-  /// Spec with every unavailable (dropped) source appended to the ban list;
-  /// Unavailable when a constraint requires a dropped source. Returns
-  /// `spec` untouched when nothing was dropped.
-  Result<ProblemSpec> EffectiveSpec(const ProblemSpec& spec) const;
-
-  /// The validation Solve, RepairSeed and EvaluateCandidate share: the
-  /// live universe's status (a bad similarity floor, a source breaking the
-  /// catalog's rules), EffectiveSpec, then
-  /// ValidateSpec, ValidateOverlay and θ against the similarity graph's
-  /// floor (every Match would fail below it). Returns the effective spec.
-  Result<ProblemSpec> ValidatedSpec(const ProblemSpec& spec) const;
-
   QualityModel model_;
   obs::ObsContext* obs_ = nullptr;
   LiveUniverse live_;

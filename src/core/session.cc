@@ -6,7 +6,6 @@
 #include "core/report.h"
 #include "obs/obs.h"
 #include "util/check.h"
-#include "util/timer.h"
 
 namespace ube {
 
@@ -21,29 +20,23 @@ Result<Solution> Session::Iterate(SolverKind solver) {
 Result<Solution> Session::Iterate(SolverKind solver,
                                   const SolverOptions& options) {
   obs::Tracer::Span span = obs::SpanIf(engine_->obs(), "session/iterate");
-  WallTimer timer;
+  // One run object per gesture: the repair of the previous incumbent
+  // against the (possibly just-edited) spec and the solve it seeds score on
+  // one evaluator and one shared store, so the repair pre-warms the solve.
+  // A wiped-out incumbent leaves the solve cold.
+  const Engine::Scope run(*engine_, spec_, options.shared_cache);
   SolverOptions effective = options;
   bool warm = false;
-  if (warm_start_ && last() != nullptr && effective.initial_incumbent.empty()) {
-    // Repair the previous incumbent against the (possibly just-edited) spec
-    // and seed the solver with whatever survives. A wiped-out incumbent
-    // yields an empty seed and the solve proceeds cold; a repair *error*
-    // (invalid spec) is left for Solve to report so failure surfaces once.
-    RepairOptions repair = repair_options_;
-    if (repair.shared_cache == nullptr) {
-      repair.shared_cache = options.shared_cache;
-    }
-    Result<std::vector<SourceId>> seed =
-        engine_->RepairSeed(spec_, last()->sources, repair);
-    if (seed.ok() && !seed.value().empty()) {
-      effective.initial_incumbent = std::move(seed.value());
+  if (run.status().ok() && warm_start_ && last() != nullptr &&
+      effective.initial_incumbent.empty()) {
+    RepairResult repaired =
+        RepairIncumbent(run.evaluator(), last()->sources, repair_options_);
+    if (repaired.seeded) {
+      effective.initial_incumbent = std::move(repaired.solution.sources);
       warm = true;
     }
   }
-  Result<Solution> solution = engine_->Solve(spec_, solver, effective);
-  const double elapsed_ms = timer.ElapsedSeconds() * 1e3;
-  stats_.last_iterate_ms = elapsed_ms;
-  stats_.total_iterate_ms += elapsed_ms;
+  Result<Solution> solution = run.Solve(solver, effective);
   if (!solution.ok()) {
     ++stats_.failed_solves;
     return solution;

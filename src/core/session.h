@@ -22,8 +22,8 @@ namespace ube {
 /// other (SessionServer builds on exactly this).
 class Session {
  public:
-  /// Per-session effort/outcome counters (all deterministic except the
-  /// wall-clock fields).
+  /// Per-session effort/outcome counters, all deterministic (callers time
+  /// Iterate themselves).
   struct Stats {
     int64_t iterations = 0;     ///< successful solves appended to history
     int64_t failed_solves = 0;  ///< Iterate calls that returned non-OK
@@ -33,8 +33,6 @@ class Session {
     /// Feedback gestures accepted (pin/ban/unpin/unban/promote/add-GA/
     /// reweight) since the session opened.
     int64_t feedback_gestures = 0;
-    double last_iterate_ms = 0.0;
-    double total_iterate_ms = 0.0;
   };
 
   /// The engine must outlive the session. Sessions never mutate the engine
@@ -53,16 +51,18 @@ class Session {
 
   /// Warm-start re-solve: when enabled and a previous solution exists,
   /// Iterate repairs the last incumbent against the current spec
-  /// (Engine::RepairSeed, bounded by repair_options()) and seeds the solver
-  /// with the result via SolverOptions::initial_incumbent — so a feedback
-  /// gesture re-solves from where the user already was instead of from
-  /// scratch. When the whole incumbent is evicted (e.g. its sources all
-  /// banned) the solve falls back cold, bit-identical to warm start off.
-  /// Off by default: a plain Session keeps Iterate == Engine::Solve.
+  /// (bounded by repair_options()) and seeds the solver with the result
+  /// via SolverOptions::initial_incumbent — so a feedback gesture
+  /// re-solves from where the user already was. Both phases run on one
+  /// Engine::Scope over SolverOptions::shared_cache, answering as
+  /// Engine::RepairSeed then Engine::Solve would. When the whole incumbent
+  /// is evicted the solve falls back cold, bit-identical to warm start
+  /// off. Off by default: a plain Session keeps Iterate == Engine::Solve.
   void set_warm_start(bool on) { warm_start_ = on; }
   bool warm_start() const { return warm_start_; }
 
-  /// Budget/seed of the warm-start repair (used only when warm_start()).
+  /// Budget/seed of the warm-start repair (used only when warm_start();
+  /// its shared_cache is ignored).
   const RepairOptions& repair_options() const { return repair_options_; }
   RepairOptions& mutable_repair_options() { return repair_options_; }
 

@@ -18,7 +18,6 @@ std::pair<SessionServer::SessionId, Session*> SessionServer::Open() {
   auto session = std::make_unique<Session>(&engine_);
   session->set_warm_start(options_.warm_start);
   session->mutable_repair_options() = options_.repair;
-  session->mutable_repair_options().shared_cache = &cache_;
   session->mutable_solver_options() = options_.solver_options;
   session->mutable_solver_options().shared_cache = &cache_;
   Session* raw = session.get();

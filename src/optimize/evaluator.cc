@@ -330,12 +330,6 @@ std::vector<SourceId> CandidateEvaluator::RequiredSources(
   return SortedUnique(std::move(required));
 }
 
-Status CandidateEvaluator::ValidateOverlay(const QualityModel& model,
-                                           const ProblemSpec& spec) {
-  if (spec.weight_overlay.empty()) return Status::Ok();
-  return model.ValidateWeightVector(spec.weight_overlay);
-}
-
 Status CandidateEvaluator::ValidateSpec(const Universe& universe,
                                         const ProblemSpec& spec) {
   if (spec.max_sources < 1) {

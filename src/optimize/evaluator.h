@@ -199,9 +199,10 @@ class SharedQualityCache {
 /// batch of one.
 class CandidateEvaluator {
  public:
-  /// All referees must outlive the evaluator. Call ValidateSpec (and
-  /// ValidateOverlay when the spec carries a weight overlay) first; the
-  /// constructor UBE_CHECKs the same conditions. `cache_epoch` is folded
+  /// All referees must outlive the evaluator. Call ValidateSpec and
+  /// QualityModel::ValidateWeightVector on the effective weights (the
+  /// spec's overlay, else the model's own) first, as Engine::Scope does;
+  /// the constructor UBE_CHECKs the same conditions. `cache_epoch` is folded
   /// into the spec fingerprint — pass a universe version counter so a
   /// shared cache can never serve values computed before a churn event
   /// (equal specs over different universe states get distinct
@@ -214,11 +215,6 @@ class CandidateEvaluator {
   /// and disjoint, θ/β sane, and |required| <= m.
   static Status ValidateSpec(const Universe& universe,
                              const ProblemSpec& spec);
-
-  /// Checks ProblemSpec::weight_overlay against `model`: empty (inherit the
-  /// model's weights) or a full valid weight vector.
-  static Status ValidateOverlay(const QualityModel& model,
-                                const ProblemSpec& spec);
 
   /// C ∪ {sources referenced by G}, sorted unique — the sources every
   /// feasible candidate must contain (the "permanently tabu" region).

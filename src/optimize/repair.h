@@ -35,9 +35,9 @@ struct RepairOptions {
   /// Optional observability context (solve/repair span, solver metrics).
   obs::ObsContext* obs = nullptr;
   /// Cross-evaluator quality cache (optimize/evaluator.h). Not owned; must
-  /// outlive the repair. Engine::RepairSeed attaches it to the repair's
-  /// evaluator so a session's repair pre-warms its subsequent warm-start
-  /// solve (same spec fingerprint). Null keeps the evaluator's own cache.
+  /// outlive the repair. Only Engine::RepairSeed reads it, attaching it to
+  /// the repair's evaluator so a later solve of the same spec over the same
+  /// store finds the repair's values. Null keeps the evaluator's own cache.
   SharedQualityCache* shared_cache = nullptr;
 };
 

@@ -77,10 +77,6 @@ Status QualityModel::RescaleWeight(std::vector<double>* weights, int index,
   return Status::Ok();
 }
 
-Status QualityModel::ValidateWeights() const {
-  return ValidateWeightVector(weights_);
-}
-
 Status QualityModel::ValidateWeightVector(
     const std::vector<double>& weights) const {
   if (qefs_.empty()) {

@@ -44,8 +44,8 @@ class QualityModel {
   /// 0.25, coverage 0.2, redundancy 0.15, wsum(MTTF) 0.15.
   static QualityModel MakeDefault(std::string mttf_characteristic = "mttf");
 
-  /// Adds a QEF with the given weight. Weights are validated by
-  /// ValidateWeights / at Evaluate time via UBE_CHECK in debug use.
+  /// Adds a QEF with the given weight (checked later, by
+  /// ValidateWeightVector, on every engine call).
   void AddQef(std::unique_ptr<Qef> qef, double weight);
 
   int num_qefs() const { return static_cast<int>(qefs_.size()); }
@@ -64,10 +64,9 @@ class QualityModel {
   static Status RescaleWeight(std::vector<double>* weights, int index,
                               double weight);
 
-  /// OK iff every weight is in [0,1] and they sum to 1 (±1e-6).
-  Status ValidateWeights() const;
-  /// Same conditions on a free-standing vector, plus size == num_qefs()
-  /// (validates a ProblemSpec::weight_overlay against this model).
+  /// OK iff the model has a QEF, `weights` has num_qefs() entries, each
+  /// finite and in [0,1], and they sum to 1 (±1e-6). Validates the model's
+  /// own weights() as well as a ProblemSpec::weight_overlay.
   Status ValidateWeightVector(const std::vector<double>& weights) const;
 
   /// True if any registered QEF is a MatchingQualityQef (i.e. evaluation

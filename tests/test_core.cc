@@ -9,6 +9,7 @@
 #include "core/ga_evaluation.h"
 #include "core/report.h"
 #include "core/session.h"
+#include "qef/qef.h"
 #include "sketch/distinct_estimator.h"
 #include "workload/generator.h"
 
@@ -194,6 +195,51 @@ TEST(EngineTest, SimilarityFloorOutOfRangeIsAStatus) {
     Result<ContinuousReport> report =
         engine.RunContinuous(spec, ChurnTrace{}, ContinuousOptions{});
     EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// A model whose own weights break the rules is a Status from every engine
+// call, not an abort in the evaluator's constructor: weights that do not sum
+// to 1 are InvalidArgument, a model with no QEF is FailedPrecondition. The
+// effective vector is what counts, so a valid overlay over the bad model
+// solves.
+TEST(EngineTest, InvalidModelWeightsAreAStatus) {
+  for (bool empty : {false, true}) {
+    SCOPED_TRACE(empty ? "no QEFs" : "cardinality 0.9 + coverage 0.9");
+    QualityModel model;
+    if (!empty) {
+      model.AddQef(std::make_unique<CardinalityQef>(), 0.9);
+      model.AddQef(std::make_unique<CoverageQef>(), 0.9);
+    }
+    const StatusCode expected = empty ? StatusCode::kFailedPrecondition
+                                      : StatusCode::kInvalidArgument;
+    GeneratedWorkload w = GenerateWorkload(SmallConfig(20));
+    Engine engine(std::move(w.universe), std::move(model));
+    ProblemSpec spec;
+    spec.max_sources = 5;
+
+    EXPECT_EQ(
+        engine.Solve(spec, SolverKind::kTabu, FastSolve()).status().code(),
+        expected);
+    EXPECT_EQ(engine.EvaluateCandidate(spec, {0, 1, 2}).status().code(),
+              expected);
+    EXPECT_EQ(
+        engine.RepairSeed(spec, {0, 1, 2}, RepairOptions{}).status().code(),
+        expected);
+    Session session(&engine);
+    session.SetMaxSources(5);
+    EXPECT_EQ(session.Iterate(SolverKind::kTabu, FastSolve()).status().code(),
+              expected);
+    EXPECT_EQ(session.stats().failed_solves, 1);
+    if (!empty) {
+      ProblemSpec overlaid = spec;
+      overlaid.weight_overlay = {0.5, 0.5};
+      EXPECT_TRUE(engine.Solve(overlaid, SolverKind::kTabu, FastSolve()).ok());
+    }
+    EXPECT_EQ(engine.RunContinuous(spec, ChurnTrace{}, ContinuousOptions{})
+                  .status()
+                  .code(),
+              expected);
   }
 }
 

@@ -292,17 +292,17 @@ TEST(QualityModelTest, DefaultModelMatchesPaperWeights) {
   EXPECT_DOUBLE_EQ(model.weight(2), 0.20);
   EXPECT_DOUBLE_EQ(model.weight(3), 0.15);
   EXPECT_DOUBLE_EQ(model.weight(4), 0.15);
-  EXPECT_TRUE(model.ValidateWeights().ok());
+  EXPECT_TRUE(model.ValidateWeightVector(model.weights()).ok());
   EXPECT_TRUE(model.NeedsMatching());
 }
 
 TEST(QualityModelTest, WeightValidation) {
   QualityModel model;
-  EXPECT_FALSE(model.ValidateWeights().ok());  // no QEFs
+  EXPECT_FALSE(model.ValidateWeightVector(model.weights()).ok());  // no QEFs
   model.AddQef(std::make_unique<CardinalityQef>(), 0.6);
-  EXPECT_FALSE(model.ValidateWeights().ok());  // sum != 1
+  EXPECT_FALSE(model.ValidateWeightVector(model.weights()).ok());  // sum != 1
   model.AddQef(std::make_unique<CoverageQef>(), 0.4);
-  EXPECT_TRUE(model.ValidateWeights().ok());
+  EXPECT_TRUE(model.ValidateWeightVector(model.weights()).ok());
   EXPECT_FALSE(model.ValidateWeightVector({0.5}).ok());        // wrong count
   EXPECT_FALSE(model.ValidateWeightVector({1.5, -0.5}).ok());  // out of range
   EXPECT_FALSE(model.ValidateWeightVector({0.9, 0.3}).ok());   // sum != 1

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -162,7 +163,6 @@ TEST(SessionServerTest, OpenWiresWarmStartAndSharedCache) {
   (void)id;
   EXPECT_TRUE(session->warm_start());
   EXPECT_EQ(session->solver_options().shared_cache, &server.mutable_cache());
-  EXPECT_EQ(session->repair_options().shared_cache, &server.mutable_cache());
 }
 
 // ------------------------- isolation invariants --------------------------
@@ -271,6 +271,74 @@ TEST(SessionServerTest, WipedOutIncumbentFallsBackCold) {
   for (SourceId banned : first->sources) {
     for (SourceId s : second->sources) EXPECT_NE(s, banned);
   }
+}
+
+// Iterate runs a gesture's repair and its seeded solve on one evaluator;
+// its answers, counters and store traffic must equal the two public calls
+// perfbench's traced pass re-enacts it with: Engine::RepairSeed over the
+// solver's store, then Engine::Solve seeded with the result. The gestures
+// cover a cold first solve, a ban and a re-weight (warm), and a ban of the
+// whole incumbent (the repair wipes out and the solve runs cold).
+TEST(SessionServerTest, IterateMatchesRepairSeedThenSolve) {
+  SessionServer server(MakeEngine(), FastServerOptions());
+  SessionServer twin_server(MakeEngine(), FastServerOptions());
+  Session* session = server.Open().second;
+  Session* twin = twin_server.Open().second;
+  const Engine& twin_engine = twin_server.engine();
+  std::optional<Solution> twin_last;
+  auto reenact = [&]() -> Result<Solution> {
+    SolverOptions options = twin->solver_options();
+    if (twin->warm_start() && twin_last.has_value()) {
+      RepairOptions repair = twin->repair_options();
+      if (repair.shared_cache == nullptr) {
+        repair.shared_cache = options.shared_cache;
+      }
+      Result<std::vector<SourceId>> seed =
+          twin_engine.RepairSeed(twin->spec(), twin_last->sources, repair);
+      if (seed.ok() && !seed.value().empty()) {
+        options.initial_incumbent = std::move(seed.value());
+      }
+    }
+    Result<Solution> solution =
+        twin_engine.Solve(twin->spec(), SolverKind::kTabu, options);
+    if (solution.ok()) twin_last = solution.value();
+    return solution;
+  };
+  auto expect_same_gesture = [&](const char* gesture) {
+    SCOPED_TRACE(gesture);
+    Result<Solution> iterated = session->Iterate();
+    Result<Solution> reenacted = reenact();
+    ASSERT_TRUE(iterated.ok()) << iterated.status();
+    ASSERT_TRUE(reenacted.ok()) << reenacted.status();
+    ExpectSameSolution(iterated.value(), reenacted.value());
+    EXPECT_EQ(iterated->stats.evaluations, reenacted->stats.evaluations);
+    EXPECT_EQ(iterated->stats.cache_hits, reenacted->stats.cache_hits);
+  };
+  session->SetMaxSources(5);
+  twin->SetMaxSources(5);
+
+  expect_same_gesture("first solve");
+  ASSERT_NE(session->last(), nullptr);
+  const SourceId rejected = session->last()->sources.front();
+  ASSERT_TRUE(session->BanSource(rejected).ok());
+  ASSERT_TRUE(twin->BanSource(rejected).ok());
+  expect_same_gesture("ban");
+  ASSERT_TRUE(session->SetWeight("cardinality", 0.6).ok());
+  ASSERT_TRUE(twin->SetWeight("cardinality", 0.6).ok());
+  expect_same_gesture("re-weight");
+  for (SourceId s : session->last()->sources) {
+    ASSERT_TRUE(session->BanSource(s).ok());
+    ASSERT_TRUE(twin->BanSource(s).ok());
+  }
+  expect_same_gesture("ban of the whole incumbent");
+
+  const SharedQualityCache::Stats store = server.cache().stats();
+  const SharedQualityCache::Stats twin_store = twin_server.cache().stats();
+  EXPECT_EQ(store.hits, twin_store.hits);
+  EXPECT_EQ(store.misses, twin_store.misses);
+  EXPECT_GT(store.hits, 0);
+  EXPECT_EQ(session->stats().warm_solves, 2);
+  EXPECT_EQ(session->stats().cold_solves, 2);
 }
 
 TEST(SessionServerTest, FailedIterateKeepsHistoryAndCountsIt) {
