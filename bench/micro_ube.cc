@@ -135,13 +135,22 @@ void BM_SimilarityGraphBuildDistinctNames(benchmark::State& state) {
 BENCHMARK(BM_SimilarityGraphBuildDistinctNames)
     ->Unit(benchmark::kMillisecond);
 
-void BM_Match20Sources(benchmark::State& state) {
-  auto& workload = SharedWorkload();
+const ube::SimilarityGraph& SharedGraph() {
   static auto* graph = new ube::SimilarityGraph(
-      ube::SimilarityGraph::WithDefaults(workload.universe, 0.25));
-  ube::ClusterMatcher matcher(workload.universe, *graph);
+      ube::SimilarityGraph::WithDefaults(SharedWorkload().universe, 0.25));
+  return *graph;
+}
+
+// Sources 0, 10, ..., 190 of the shared workload.
+std::vector<ube::SourceId> TwentySources() {
   std::vector<ube::SourceId> sources;
   for (ube::SourceId s = 0; s < 200; s += 10) sources.push_back(s);
+  return sources;
+}
+
+void BM_Match20Sources(benchmark::State& state) {
+  ube::ClusterMatcher matcher(SharedWorkload().universe, SharedGraph());
+  const std::vector<ube::SourceId> sources = TwentySources();
   ube::MatchOptions options;
   for (auto _ : state) {
     auto result = matcher.Match(sources, {}, {}, options);
@@ -149,6 +158,19 @@ void BM_Match20Sources(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Match20Sources)->Unit(benchmark::kMicrosecond);
+
+// The score call a search makes on the same S: the same clustering, but
+// only validity and F1 come back, and no schema is built.
+void BM_MatchScore20Sources(benchmark::State& state) {
+  ube::ClusterMatcher matcher(SharedWorkload().universe, SharedGraph());
+  const std::vector<ube::SourceId> sources = TwentySources();
+  ube::MatchOptions options;
+  for (auto _ : state) {
+    auto result = matcher.Quality(sources, {}, {}, options);
+    benchmark::DoNotOptimize(result.ok());
+  }
+}
+BENCHMARK(BM_MatchScore20Sources)->Unit(benchmark::kMicrosecond);
 
 // The same S (sources 0, 10, ..., 190) in a universe five times larger:
 // Match gathers its θ-edges from the name rows of S's names, so its cost
@@ -163,8 +185,7 @@ void BM_Match20SourcesU1000(benchmark::State& state) {
   static auto* graph = new ube::SimilarityGraph(
       ube::SimilarityGraph::WithDefaults(workload->universe, 0.25));
   ube::ClusterMatcher matcher(workload->universe, *graph);
-  std::vector<ube::SourceId> sources;
-  for (ube::SourceId s = 0; s < 200; s += 10) sources.push_back(s);
+  const std::vector<ube::SourceId> sources = TwentySources();
   ube::MatchOptions options;
   for (auto _ : state) {
     auto result = matcher.Match(sources, {}, {}, options);

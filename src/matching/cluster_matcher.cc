@@ -49,14 +49,14 @@ struct PairCandidate {
   int c2;
 };
 
-// Per-thread working memory reused across Match calls, so a call allocates
-// only its result. Between calls every cluster_of and name_head entry is -1;
-// a call sets the entries of S's attributes and names and restores them on
-// every exit path (ScratchReset). cluster_of and next are indexed by dense
-// attribute and name_head by name id; they grow to the largest graph the
-// thread has matched over.
+// Per-thread working memory reused across Match and Quality calls, so a
+// call allocates only its result. Between calls every cluster_of and
+// name_head entry is -1; a call sets the entries of S's attributes and
+// names and restores them on every exit path (ScratchReset). cluster_of and
+// next are indexed by dense attribute and name_head by name id; they grow
+// to the largest graph the thread has matched over.
 struct MatchScratch {
-  std::vector<int> cluster_of;        // dense attr -> cluster, or -1
+  std::vector<int> cluster_of;        // dense attr -> cluster, kTouched or -1
   std::vector<int> next;              // dense attr -> next in its cluster
   std::vector<int> name_head;         // name id -> first k with it, or -1
   std::vector<SourceId> sorted;       // S, sorted
@@ -71,13 +71,21 @@ struct MatchScratch {
   std::vector<PairCandidate> pairs;
 };
 
+// cluster_of's mark, during a call, for an attribute that a θ-edge among
+// S's attributes touches and that is not in a GA constraint. Only marked
+// attributes become singletons. An unmarked one outside G has no θ-edge in
+// S: it would form no pair, round 1 would discard it, and it would never be
+// emitted. Skipping it keeps the relative order of every other cluster, so
+// the tie-breaks, the merges, the GA order and the rounds do not change.
+constexpr int kTouched = -2;
+
 MatchScratch& Scratch() {
   thread_local MatchScratch scratch;
   return scratch;
 }
 
-// Restores cluster_of and name_head to all -1 over S's attributes and names
-// when the call exits.
+// Restores cluster_of (clusters and kTouched marks alike) and name_head to
+// all -1 over S's attributes and names when the call exits.
 class ScratchReset {
  public:
   explicit ScratchReset(MatchScratch* scratch) : scratch_(scratch) {}
@@ -102,42 +110,22 @@ size_t PositionIn(const std::vector<SourceId>& sorted, SourceId s) {
       std::lower_bound(sorted.begin(), sorted.end(), s) - sorted.begin());
 }
 
-}  // namespace
-
-uint64_t MatchResultFingerprint(const MatchResult& result) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](uint64_t v) { h = SplitMix64(h ^ v); };
-  mix(result.valid ? 1 : 0);
-  mix(std::bit_cast<uint64_t>(result.matching_quality));
-  mix(static_cast<uint64_t>(result.rounds));
-  mix(static_cast<uint64_t>(result.schema.num_gas()));
-  for (const GlobalAttribute& ga : result.schema.gas()) {
-    mix(static_cast<uint64_t>(ga.attributes().size()));
-    for (const AttributeId& id : ga.attributes()) {
-      mix((static_cast<uint64_t>(static_cast<uint32_t>(id.source)) << 32) |
-          static_cast<uint32_t>(id.attr_index));
-    }
-  }
-  for (double q : result.ga_qualities) mix(std::bit_cast<uint64_t>(q));
-  for (bool from_constraint : result.ga_from_constraint) {
-    mix(from_constraint ? 1 : 0);
-  }
-  return h;
-}
-
-ClusterMatcher::ClusterMatcher(const Universe& universe,
-                               const SimilarityGraph& graph)
-    : universe_(universe), graph_(graph) {}
-
-Result<MatchResult> ClusterMatcher::Match(
-    const std::vector<SourceId>& sources,
-    const std::vector<SourceId>& source_constraints,
-    const std::vector<GlobalAttribute>& ga_constraints,
-    const MatchOptions& options) const {
+// Algorithm 1 lines 1-23, the clustering both assemblies share: validates
+// the input, gathers the θ-edges among S's attributes, seeds the GA
+// constraint clusters and a singleton per marked attribute, and runs the
+// merge rounds. Returns the number of rounds, or InvalidArgument for
+// malformed input; the clusters, their attribute lists (through `next`) and
+// their source bitsets stay in `scratch` for the assembly.
+Result<int> RunClustering(const Universe& universe,
+                          const SimilarityGraph& graph,
+                          const std::vector<SourceId>& sources,
+                          const std::vector<SourceId>& source_constraints,
+                          const std::vector<GlobalAttribute>& ga_constraints,
+                          const MatchOptions& options, MatchScratch& scratch) {
   if (!std::isfinite(options.theta)) {
     return Status::InvalidArgument("matching threshold θ must be finite");
   }
-  if (options.theta < graph_.floor()) {
+  if (options.theta < graph.floor()) {
     return Status::InvalidArgument(
         "matching threshold θ is below the similarity graph floor");
   }
@@ -146,10 +134,9 @@ Result<MatchResult> ClusterMatcher::Match(
   }
 
   // --- Input validation -----------------------------------------------
-  MatchScratch& scratch = Scratch();
   std::vector<SourceId>& sorted = scratch.sorted;
   for (SourceId s : sources) {
-    if (s < 0 || s >= universe_.num_sources()) {
+    if (s < 0 || s >= universe.num_sources()) {
       return Status::InvalidArgument("source id out of range");
     }
   }
@@ -177,7 +164,7 @@ Result<MatchResult> ClusterMatcher::Match(
         return Status::InvalidArgument(
             "GA constraint references a source outside S");
       }
-      const SourceSchema& schema = universe_.source(id.source).schema();
+      const SourceSchema& schema = universe.source(id.source).schema();
       if (id.attr_index < 0 || id.attr_index >= schema.num_attributes()) {
         return Status::InvalidArgument(
             "GA constraint references a nonexistent attribute");
@@ -191,12 +178,14 @@ Result<MatchResult> ClusterMatcher::Match(
   }
 
   // --- Initialization (Algorithm 1 lines 1-4) --------------------------
-  const size_t num_graph_attrs = static_cast<size_t>(graph_.num_attributes());
+  // Every error return is above: nothing below writes cluster_of or
+  // name_head before the guard exists.
+  const size_t num_graph_attrs = static_cast<size_t>(graph.num_attributes());
   if (scratch.cluster_of.size() < num_graph_attrs) {
     scratch.cluster_of.resize(num_graph_attrs, -1);
     scratch.next.resize(num_graph_attrs, -1);
   }
-  const size_t num_names = static_cast<size_t>(graph_.num_names());
+  const size_t num_names = static_cast<size_t>(graph.num_names());
   if (scratch.name_head.size() < num_names) {
     scratch.name_head.resize(num_names, -1);
   }
@@ -204,15 +193,60 @@ Result<MatchResult> ClusterMatcher::Match(
   scratch.attr_source.clear();
   scratch.names.clear();
   for (SourceId s : sorted) {
-    const int width = universe_.source(s).schema().num_attributes();
+    const int width = universe.source(s).schema().num_attributes();
     for (int a = 0; a < width; ++a) {
-      scratch.attrs.push_back(graph_.DenseIndex(AttributeId{s, a}));
+      scratch.attrs.push_back(graph.DenseIndex(AttributeId{s, a}));
       scratch.attr_source.push_back(s);
     }
   }
   ScratchReset reset(&scratch);
   std::vector<int>& cluster_of = scratch.cluster_of;
   std::vector<int>& next = scratch.next;
+
+  // The θ-edges among S's attributes, gathered once from the name rows,
+  // each endpoint marked kTouched. S's attributes are grouped by name (a
+  // list per name through name_head and name_next, over positions k in
+  // attrs). Each name of S walks its row down to θ and pairs its group with
+  // the group of each name it reaches: every name pair once, from the lower
+  // id, and never two attributes of one source. The rounds sort their pairs
+  // fully, so the order in which the edges are collected does not matter.
+  const float theta = static_cast<float>(options.theta);
+  const std::vector<int>& attrs = scratch.attrs;
+  const std::vector<SourceId>& attr_source = scratch.attr_source;
+  std::vector<int>& name_head = scratch.name_head;
+  std::vector<int>& name_next = scratch.name_next;
+  name_next.resize(attrs.size());
+  for (size_t k = 0; k < attrs.size(); ++k) {
+    int& head = name_head[static_cast<size_t>(graph.NameId(attrs[k]))];
+    if (head == -1) scratch.names.push_back(graph.NameId(attrs[k]));
+    name_next[k] = head;
+    head = static_cast<int>(k);
+  }
+  std::vector<ThetaEdge>& edges = scratch.edges;
+  edges.clear();
+  for (int32_t x : scratch.names) {
+    for (const SimilarityGraph::NameEdge& e : graph.NameRow(x)) {
+      if (e.similarity < theta) break;
+      if (e.name < x) continue;
+      const int y_head = name_head[static_cast<size_t>(e.name)];
+      for (int i = name_head[static_cast<size_t>(x)]; i != -1;
+           i = name_next[static_cast<size_t>(i)]) {
+        for (int j = e.name == x ? name_next[static_cast<size_t>(i)] : y_head;
+             j != -1; j = name_next[static_cast<size_t>(j)]) {
+          if (attr_source[static_cast<size_t>(i)] ==
+              attr_source[static_cast<size_t>(j)]) {
+            continue;
+          }
+          const int u = attrs[static_cast<size_t>(i)];
+          const int v = attrs[static_cast<size_t>(j)];
+          cluster_of[static_cast<size_t>(u)] = kTouched;
+          cluster_of[static_cast<size_t>(v)] = kTouched;
+          edges.push_back(ThetaEdge{u, v, e.similarity});
+        }
+      }
+    }
+  }
+
   std::vector<Cluster>& clusters = scratch.clusters;
   std::vector<uint64_t>& bits = scratch.source_bits;
   const size_t words = (sorted.size() + 63) / 64;
@@ -235,11 +269,12 @@ Result<MatchResult> ClusterMatcher::Match(
         uint64_t{1} << (position % 64);
   };
 
+  // Every attribute of a GA constraint is clustered, marked or not.
   for (const GlobalAttribute& g : ga_constraints) {
     Cluster c;
     c.keep = true;
     for (const AttributeId& id : g.attributes()) {
-      const int dense = graph_.DenseIndex(id);
+      const int dense = graph.DenseIndex(id);
       next[static_cast<size_t>(dense)] = -1;
       if (c.head == -1) {
         c.head = dense;
@@ -258,7 +293,7 @@ Result<MatchResult> ClusterMatcher::Match(
       for (int x = c.head; x != -1; x = next[static_cast<size_t>(x)]) {
         for (int y = next[static_cast<size_t>(x)]; y != -1;
              y = next[static_cast<size_t>(y)]) {
-          best = std::max(best, graph_.PairSimilarity(x, y));
+          best = std::max(best, graph.PairSimilarity(x, y));
         }
       }
       c.quality = best;
@@ -269,61 +304,19 @@ Result<MatchResult> ClusterMatcher::Match(
     }
   }
 
-  // Remaining attributes of S as singleton clusters, in sorted-S order for
-  // determinism.
+  // The marked attributes outside G as singleton clusters, in sorted-S
+  // order for determinism.
   for (size_t k = 0, p = 0; p < sorted.size(); ++p) {
-    const int width = universe_.source(sorted[p]).schema().num_attributes();
+    const int width = universe.source(sorted[p]).schema().num_attributes();
     for (int a = 0; a < width; ++a, ++k) {
-      const int dense = scratch.attrs[k];
-      if (cluster_of[static_cast<size_t>(dense)] != -1) continue;  // in G
+      const int dense = attrs[k];
+      if (cluster_of[static_cast<size_t>(dense)] != kTouched) continue;
       next[static_cast<size_t>(dense)] = -1;
       Cluster c;
       c.head = dense;
       c.tail = dense;
       c.size = 1;
       set_bit(add_cluster(c), p);
-    }
-  }
-
-  // The θ-edges among S's attributes, gathered once from the name rows.
-  // S's attributes are grouped by name (a list per name through name_head
-  // and name_next, over positions k in attrs). Each name of S walks its row
-  // down to θ and pairs its group with the group of each name it reaches:
-  // every name pair once, from the lower id, and never two attributes of
-  // one source. The rounds sort their pairs fully, so the order in which
-  // the edges are collected does not matter.
-  const float theta = static_cast<float>(options.theta);
-  const std::vector<int>& attrs = scratch.attrs;
-  const std::vector<SourceId>& attr_source = scratch.attr_source;
-  std::vector<int>& name_head = scratch.name_head;
-  std::vector<int>& name_next = scratch.name_next;
-  name_next.resize(attrs.size());
-  for (size_t k = 0; k < attrs.size(); ++k) {
-    int& head = name_head[static_cast<size_t>(graph_.NameId(attrs[k]))];
-    if (head == -1) scratch.names.push_back(graph_.NameId(attrs[k]));
-    name_next[k] = head;
-    head = static_cast<int>(k);
-  }
-  std::vector<ThetaEdge>& edges = scratch.edges;
-  edges.clear();
-  for (int32_t x : scratch.names) {
-    for (const SimilarityGraph::NameEdge& e : graph_.NameRow(x)) {
-      if (e.similarity < theta) break;
-      if (e.name < x) continue;
-      const int y_head = name_head[static_cast<size_t>(e.name)];
-      for (int i = name_head[static_cast<size_t>(x)]; i != -1;
-           i = name_next[static_cast<size_t>(i)]) {
-        for (int j = e.name == x ? name_next[static_cast<size_t>(i)] : y_head;
-             j != -1; j = name_next[static_cast<size_t>(j)]) {
-          if (attr_source[static_cast<size_t>(i)] ==
-              attr_source[static_cast<size_t>(j)]) {
-            continue;
-          }
-          edges.push_back(ThetaEdge{attrs[static_cast<size_t>(i)],
-                                    attrs[static_cast<size_t>(j)],
-                                    e.similarity});
-        }
-      }
     }
   }
 
@@ -454,47 +447,105 @@ Result<MatchResult> ClusterMatcher::Match(
       }
     }
   }
+  return rounds;
+}
 
-  // --- Output assembly --------------------------------------------------
-  auto emitted = [&options](const Cluster& c) {
-    if (!c.Live()) return false;
-    if (!c.keep && c.size < options.beta) return false;
-    return c.keep || c.size >= 2;  // never emit bare singletons
-  };
+// Whether a finished cluster is a GA of M: live, and grown from a user GA
+// constraint, or merged (never a bare singleton) with at least β
+// attributes.
+bool Emitted(const Cluster& c, int beta) {
+  if (!c.Live()) return false;
+  if (!c.keep && c.size < beta) return false;
+  return c.keep || c.size >= 2;
+}
 
+// What both assemblies read off the emitted clusters, in cluster-index
+// order (the GA order): validity on C and F1, and the number of GAs.
+struct Emission {
+  MatchQuality quality;
+  size_t num_gas = 0;
+};
+
+Emission Emit(MatchScratch& scratch,
+              const std::vector<SourceId>& source_constraints, int beta) {
+  const std::vector<Cluster>& clusters = scratch.clusters;
+  const std::vector<uint64_t>& bits = scratch.source_bits;
+  const size_t words = (scratch.sorted.size() + 63) / 64;
   // Line 24: M must be valid on the source constraints C. The GAs are
   // disjoint and valid by construction, so validity is C-coverage: every
   // constrained source has an attribute in some emitted GA.
   std::vector<uint64_t>& covered = scratch.covered;
   covered.assign(words, 0);
-  size_t num_emitted = 0;
+  Emission out;
+  double sum = 0.0;
   for (size_t ci = 0; ci < clusters.size(); ++ci) {
-    if (!emitted(clusters[ci])) continue;
-    ++num_emitted;
+    if (!Emitted(clusters[ci], beta)) continue;
+    ++out.num_gas;
+    sum += clusters[ci].quality;
     for (size_t w = 0; w < words; ++w) covered[w] |= bits[ci * words + w];
   }
   for (SourceId s : source_constraints) {
-    const size_t p = PositionIn(sorted, s);
-    if ((covered[p / 64] >> (p % 64) & 1) == 0) {
-      MatchResult failed;
-      failed.valid = false;
-      failed.matching_quality = 0.0;
-      failed.rounds = rounds;
-      return failed;
+    const size_t p = PositionIn(scratch.sorted, s);
+    if ((covered[p / 64] >> (p % 64) & 1) == 0) return Emission{};
+  }
+  out.quality.valid = true;
+  // F1: the mean GA quality, summed in GA order; 0 when M is empty.
+  out.quality.matching_quality =
+      out.num_gas == 0 ? 0.0 : sum / static_cast<double>(out.num_gas);
+  return out;
+}
+
+}  // namespace
+
+uint64_t MatchResultFingerprint(const MatchResult& result) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](uint64_t v) { h = SplitMix64(h ^ v); };
+  mix(result.valid ? 1 : 0);
+  mix(std::bit_cast<uint64_t>(result.matching_quality));
+  mix(static_cast<uint64_t>(result.rounds));
+  mix(static_cast<uint64_t>(result.schema.num_gas()));
+  for (const GlobalAttribute& ga : result.schema.gas()) {
+    mix(static_cast<uint64_t>(ga.attributes().size()));
+    for (const AttributeId& id : ga.attributes()) {
+      mix((static_cast<uint64_t>(static_cast<uint32_t>(id.source)) << 32) |
+          static_cast<uint32_t>(id.attr_index));
     }
   }
+  for (double q : result.ga_qualities) mix(std::bit_cast<uint64_t>(q));
+  for (bool from_constraint : result.ga_from_constraint) {
+    mix(from_constraint ? 1 : 0);
+  }
+  return h;
+}
 
+ClusterMatcher::ClusterMatcher(const Universe& universe,
+                               const SimilarityGraph& graph)
+    : universe_(universe), graph_(graph) {}
+
+Result<MatchResult> ClusterMatcher::Match(
+    const std::vector<SourceId>& sources,
+    const std::vector<SourceId>& source_constraints,
+    const std::vector<GlobalAttribute>& ga_constraints,
+    const MatchOptions& options) const {
+  MatchScratch& scratch = Scratch();
+  Result<int> rounds = RunClustering(universe_, graph_, sources,
+                                     source_constraints, ga_constraints,
+                                     options, scratch);
+  if (!rounds.ok()) return rounds.status();
+  const Emission emission = Emit(scratch, source_constraints, options.beta);
   MatchResult result;
-  result.rounds = rounds;
+  result.rounds = rounds.value();
+  if (!emission.quality.valid) return result;  // Algorithm 1 returns NULL
+
   std::vector<GlobalAttribute> gas;
-  gas.reserve(num_emitted);
-  result.ga_qualities.reserve(num_emitted);
-  result.ga_from_constraint.reserve(num_emitted);
-  for (const Cluster& c : clusters) {
-    if (!emitted(c)) continue;
+  gas.reserve(emission.num_gas);
+  result.ga_qualities.reserve(emission.num_gas);
+  result.ga_from_constraint.reserve(emission.num_gas);
+  for (const Cluster& c : scratch.clusters) {
+    if (!Emitted(c, options.beta)) continue;
     std::vector<AttributeId> ids;
     ids.reserve(static_cast<size_t>(c.size));
-    for (int x = c.head; x != -1; x = next[static_cast<size_t>(x)]) {
+    for (int x = c.head; x != -1; x = scratch.next[static_cast<size_t>(x)]) {
       ids.push_back(graph_.AttrId(x));
     }
     gas.emplace_back(std::move(ids));
@@ -504,17 +555,22 @@ Result<MatchResult> ClusterMatcher::Match(
   result.schema = MediatedSchema(std::move(gas));
   UBE_DCHECK(result.schema.IsValidOn(source_constraints),
              "Match output must be disjoint, valid and cover C");
-
   result.valid = true;
-  if (!result.ga_qualities.empty()) {
-    double sum = 0.0;
-    for (double q : result.ga_qualities) sum += q;
-    result.matching_quality = sum / static_cast<double>(
-                                        result.ga_qualities.size());
-  } else {
-    result.matching_quality = 0.0;
-  }
+  result.matching_quality = emission.quality.matching_quality;
   return result;
+}
+
+Result<MatchQuality> ClusterMatcher::Quality(
+    const std::vector<SourceId>& sources,
+    const std::vector<SourceId>& source_constraints,
+    const std::vector<GlobalAttribute>& ga_constraints,
+    const MatchOptions& options) const {
+  MatchScratch& scratch = Scratch();
+  Result<int> rounds = RunClustering(universe_, graph_, sources,
+                                     source_constraints, ga_constraints,
+                                     options, scratch);
+  if (!rounds.ok()) return rounds.status();
+  return Emit(scratch, source_constraints, options.beta).quality;
 }
 
 }  // namespace ube

@@ -39,6 +39,14 @@ struct MatchResult {
   int rounds = 0;
 };
 
+/// What a search reads of Match(S): validity on C and F1, without the
+/// schema. Both fields equal MatchResult's `valid` and `matching_quality`
+/// for the same input, bit for bit.
+struct MatchQuality {
+  bool valid = false;
+  double matching_quality = 0.0;
+};
+
 /// Order-sensitive structural hash over a MatchResult: validity, quality
 /// float bits, rounds, every GA's attribute ids, per-GA quality bits and
 /// constraint provenance. Equal fingerprints mean the results are
@@ -60,7 +68,8 @@ uint64_t MatchResultFingerprint(const MatchResult& result);
 /// any other cluster is below θ are removed from consideration: singletons
 /// are discarded, already-merged clusters are retired into the output (the
 /// paper's "eliminate from M" is read as elimination from *consideration*;
-/// see DESIGN.md §2).
+/// see DESIGN.md §2). An attribute with no θ-edge to another attribute of
+/// S, and in no GA constraint, never becomes a cluster: it could not merge.
 class ClusterMatcher {
  public:
   /// Both the universe and the graph must outlive the matcher.
@@ -79,6 +88,16 @@ class ClusterMatcher {
   /// Safe to call concurrently: the working memory is per thread and is
   /// reused across calls, so a call allocates only its result.
   Result<MatchResult> Match(
+      const std::vector<SourceId>& sources,
+      const std::vector<SourceId>& source_constraints,
+      const std::vector<GlobalAttribute>& ga_constraints,
+      const MatchOptions& options = MatchOptions()) const;
+
+  /// The same clustering as Match, but returns only validity on C and F1:
+  /// it builds no GlobalAttribute and no MediatedSchema, and allocates
+  /// nothing once the thread's scratch has grown. Makes every input check
+  /// Match makes; same thread safety.
+  Result<MatchQuality> Quality(
       const std::vector<SourceId>& sources,
       const std::vector<SourceId>& source_constraints,
       const std::vector<GlobalAttribute>& ga_constraints,

@@ -78,6 +78,25 @@ uint64_t ComputeSpecFingerprint(const Universe& universe,
   return h;
 }
 
+/// True when no QEF of `model` reads more of Match(S) than its validity and
+/// F1, so a score whose caller discards the Match result may run
+/// ClusterMatcher::Quality instead. SchemaCoverageQef reads the schema, a
+/// LambdaQef may read anything in the context, and so may a Qef subclass
+/// the library does not know: a model holding any of them keeps Match.
+bool ReadsOnlyMatchQuality(const QualityModel& model) {
+  for (int i = 0; i < model.num_qefs(); ++i) {
+    const Qef* qef = &model.qef(i);
+    if (dynamic_cast<const MatchingQualityQef*>(qef) == nullptr &&
+        dynamic_cast<const CardinalityQef*>(qef) == nullptr &&
+        dynamic_cast<const CoverageQef*>(qef) == nullptr &&
+        dynamic_cast<const RedundancyQef*>(qef) == nullptr &&
+        dynamic_cast<const CharacteristicQef*>(qef) == nullptr) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 SharedQualityCache::SharedQualityCache(size_t max_entries_per_shard)
@@ -267,7 +286,8 @@ CandidateEvaluator::CandidateEvaluator(const Universe& universe,
       banned_(SortedUnique(spec.banned_sources)),
       effective_weights_(spec.weight_overlay.empty() ? model.weights()
                                                      : spec.weight_overlay),
-      needs_match_(model.NeedsMatching()) {
+      needs_match_(model.NeedsMatching()),
+      match_quality_only_(needs_match_ && ReadsOnlyMatchQuality(model)) {
   Status status = ValidateSpec(universe, spec);
   UBE_CHECK(status.ok(), "invalid ProblemSpec: " + status.ToString());
   // Evaluate does not re-validate per call, so the weights it runs under
@@ -433,12 +453,23 @@ QualityBreakdown CandidateEvaluator::Score(
     MatchOptions options;
     options.theta = spec_.theta;
     options.beta = spec_.beta;
-    Result<MatchResult> result =
-        matcher_.Match(candidate, spec_.source_constraints,
-                       spec_.ga_constraints, options);
-    UBE_CHECK(result.ok(), "Match failed: " + result.status().ToString());
-    if (match == nullptr) match = &discarded.emplace();
-    *match = std::move(result).value();
+    const bool kept = match != nullptr;
+    if (!kept) match = &discarded.emplace();
+    if (!kept && match_quality_only_) {
+      // Nothing reads the schema: score validity and F1 without building it.
+      Result<MatchQuality> quality =
+          matcher_.Quality(candidate, spec_.source_constraints,
+                           spec_.ga_constraints, options);
+      UBE_CHECK(quality.ok(), "Match failed: " + quality.status().ToString());
+      match->valid = quality->valid;
+      match->matching_quality = quality->matching_quality;
+    } else {
+      Result<MatchResult> result =
+          matcher_.Match(candidate, spec_.source_constraints,
+                         spec_.ga_constraints, options);
+      UBE_CHECK(result.ok(), "Match failed: " + result.status().ToString());
+      *match = std::move(result).value();
+    }
     ctx.match = match;
   }
   // Doubles are re-summed per evaluation, in candidate (ascending id)

@@ -355,7 +355,10 @@ class CandidateEvaluator {
   /// Match(S) into *match when the model needs it (`match` may be null when
   /// the caller has no use for the result), fills the context from the
   /// per-source table and `union_estimate`, and scores it through
-  /// QualityModel::Evaluate with the scorer tables.
+  /// QualityModel::Evaluate with the scorer tables. With `match` null and a
+  /// model that reads only validity and F1 of Match(S)
+  /// (match_quality_only_), it runs ClusterMatcher::Quality instead, and
+  /// the context's Match result carries those two fields and no schema.
   QualityBreakdown Score(const std::vector<SourceId>& candidate,
                          double union_estimate, MatchResult* match) const;
   /// Estimated union of the `rows` whose `counted` bit is set (by default
@@ -494,6 +497,9 @@ class CandidateEvaluator {
   std::vector<double> effective_weights_;
   uint64_t spec_fingerprint_ = 0;
   bool needs_match_ = false;
+  /// needs_match_, and no QEF reads more of Match(S) than validity and F1
+  /// (no schema coverage, no lambda): decided once, at construction.
+  bool match_quality_only_ = false;
   /// The universe-wide work hoisted out of Evaluate (see the class comment).
   std::vector<std::unique_ptr<QefDeltaScorer>> scorers_;  // parallel to QEFs
   std::vector<SourceEntry> sources_;                       // by SourceId

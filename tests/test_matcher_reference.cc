@@ -6,8 +6,12 @@
 // bits, the GA order, constraint provenance and the round count must all
 // agree, not just the set of GAs. This catches data-structure bugs
 // (cluster indexing, merge bookkeeping, retirement, scratch reuse) that
-// invariants alone would miss.
+// invariants alone would miss. Every case also runs ClusterMatcher::Quality,
+// the score call the search uses, whose validity and F1 bits must equal the
+// full result's.
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -282,16 +286,25 @@ std::string Describe(const MatchResult& result) {
 }
 
 // Runs both implementations on one case and requires identical
-// fingerprints. Returns the production result.
+// fingerprints, and requires the score call to return the production
+// result's validity and F1 bits. Returns the production result.
 MatchResult ExpectAgrees(const Universe& universe, const ClusterMatcher& matcher,
                          const MatchCase& c) {
   MatchOptions options;
   options.theta = c.theta;
   options.beta = c.beta;
+  Result<MatchQuality> quality =
+      matcher.Quality(c.sources, c.constraints, c.gas, options);
   Result<MatchResult> actual =
       matcher.Match(c.sources, c.constraints, c.gas, options);
   EXPECT_TRUE(actual.ok()) << actual.status();
-  if (!actual.ok()) return MatchResult();
+  EXPECT_TRUE(quality.ok()) << quality.status();
+  if (!actual.ok() || !quality.ok()) return MatchResult();
+  EXPECT_EQ(quality->valid, actual->valid);
+  EXPECT_EQ(std::bit_cast<uint64_t>(quality->matching_quality),
+            std::bit_cast<uint64_t>(actual->matching_quality))
+      << "score call F1 " << quality->matching_quality << ", Match F1 "
+      << actual->matching_quality;
   MatchResult expected = ReferenceMatch(universe, c.sources, c.constraints,
                                         c.gas, c.theta, c.beta);
   EXPECT_EQ(MatchResultFingerprint(actual.value()),

@@ -1,5 +1,9 @@
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -425,21 +429,44 @@ Universe BooksUniverse(int num_sources, uint64_t seed) {
   return std::move(GenerateWorkload(config).universe);
 }
 
-// Fingerprint of Match over a graph rebuilt from scratch, computed on a new
-// thread so it starts from fresh per-thread scratch: nothing an earlier call
-// left behind can leak into the expected value.
-uint64_t FreshFingerprint(const Universe& universe,
-                          const std::vector<SourceId>& sources,
-                          const GlobalAttribute& ga, double theta) {
-  uint64_t fingerprint = 0;
+// Match over a graph rebuilt from scratch, computed on a new thread so it
+// starts from fresh per-thread scratch: nothing an earlier call left behind
+// can leak into the expected value.
+MatchResult FreshMatch(const Universe& universe,
+                       const std::vector<SourceId>& sources,
+                       const GlobalAttribute& ga, double theta) {
+  MatchResult result;
   std::thread worker([&] {
     SimilarityGraph graph = SimilarityGraph::WithDefaults(universe, 0.25);
     ClusterMatcher matcher(universe, graph);
     Result<MatchResult> r = matcher.Match(sources, {}, {ga}, Opts(theta));
-    if (r.ok()) fingerprint = MatchResultFingerprint(r.value());
+    if (r.ok()) result = std::move(r).value();
   });
   worker.join();
-  return fingerprint;
+  return result;
+}
+
+// The attributes of S (dense indices) that have no θ-edge to an attribute
+// of another source of S.
+std::set<int> ThetaIsolated(const SimilarityGraph& graph,
+                            const Universe& universe,
+                            const std::vector<SourceId>& sources,
+                            double theta) {
+  std::set<int> isolated;
+  for (SourceId s : sources) {
+    for (int a = 0; a < universe.source(s).schema().num_attributes(); ++a) {
+      const int dense = graph.DenseIndex(AttributeId{s, a});
+      bool touched = false;
+      for (const SimilarityGraph::Edge& e : graph.EdgesOf(dense)) {
+        const SourceId other = graph.AttrId(e.neighbor).source;
+        touched |= e.similarity >= static_cast<float>(theta) &&
+                   std::find(sources.begin(), sources.end(), other) !=
+                       sources.end();
+      }
+      if (!touched) isolated.insert(dense);
+    }
+  }
+  return isolated;
 }
 
 // The matcher's working memory is per thread, sized by the largest graph
@@ -449,7 +476,11 @@ uint64_t FreshFingerprint(const Universe& universe,
 // grown in place by a source add and then an attribute add, each growth
 // making it the largest graph yet, then by a rename and a source add that
 // intern names never seen before — and every call must fingerprint like a
-// fresh matcher over a rebuilt graph.
+// fresh matcher over a rebuilt graph. Each S is matched by the score call
+// and then by Match, alternating between two S per universe that share
+// their first and last sources, so attributes of those sources move in and
+// out of θ-isolation from one call to the next. The score call's validity
+// and F1 bits must equal the fresh Match's.
 TEST(ClusterMatcherTest, ScratchReuseAcrossGraphsMatchesFreshMatcher) {
   Universe small = BooksUniverse(12, 5);
   Universe medium = BooksUniverse(30, 6);
@@ -461,12 +492,13 @@ TEST(ClusterMatcherTest, ScratchReuseAcrossGraphsMatchesFreshMatcher) {
   LiveUniverse live(BooksUniverse(40, 7));
   ASSERT_LT(medium_graph.num_attributes(), live.graph().num_attributes());
 
-  // S is every other source, plus the last one (the highest dense indices);
-  // a single-attribute GA constraint rides along.
-  auto subset = [](const Universe& universe) {
-    std::vector<SourceId> sources;
-    for (SourceId s = 0; s < universe.num_sources(); s += 2) {
-      sources.push_back(s);
+  // The even ids or the odd ids, each with source 0 (the GA constraint's)
+  // and the last source (the highest dense indices); a single-attribute GA
+  // constraint rides along.
+  auto subset = [](const Universe& universe, SourceId first) {
+    std::vector<SourceId> sources = {0};
+    for (SourceId s = first; s < universe.num_sources(); s += 2) {
+      if (s != 0) sources.push_back(s);
     }
     if (sources.back() != universe.num_sources() - 1) {
       sources.push_back(universe.num_sources() - 1);
@@ -474,14 +506,37 @@ TEST(ClusterMatcherTest, ScratchReuseAcrossGraphsMatchesFreshMatcher) {
     return sources;
   };
   const GlobalAttribute ga({AttributeId{0, 0}});
+  // Attributes isolated under the even S of a universe and touched under
+  // the odd S, which is matched next, summed over every call below.
+  int moved = 0;
   auto expect_fresh = [&](const ClusterMatcher& matcher,
                           const Universe& universe, double theta) {
-    const std::vector<SourceId> sources = subset(universe);
-    Result<MatchResult> r = matcher.Match(sources, {}, {ga}, Opts(theta));
-    ASSERT_TRUE(r.ok()) << r.status();
-    EXPECT_EQ(MatchResultFingerprint(r.value()),
-              FreshFingerprint(universe, sources, ga, theta))
-        << "|U|=" << universe.num_sources() << " theta=" << theta;
+    const std::vector<SourceId> sets[] = {subset(universe, 0),
+                                          subset(universe, 1)};
+    for (const std::vector<SourceId>& sources : sets) {
+      Result<MatchQuality> q = matcher.Quality(sources, {}, {ga}, Opts(theta));
+      Result<MatchResult> r = matcher.Match(sources, {}, {ga}, Opts(theta));
+      ASSERT_TRUE(q.ok()) << q.status();
+      ASSERT_TRUE(r.ok()) << r.status();
+      const MatchResult fresh = FreshMatch(universe, sources, ga, theta);
+      EXPECT_EQ(MatchResultFingerprint(r.value()),
+                MatchResultFingerprint(fresh))
+          << "|U|=" << universe.num_sources() << " theta=" << theta;
+      EXPECT_EQ(q->valid, fresh.valid);
+      EXPECT_EQ(std::bit_cast<uint64_t>(q->matching_quality),
+                std::bit_cast<uint64_t>(fresh.matching_quality))
+          << "|U|=" << universe.num_sources() << " theta=" << theta;
+    }
+    const std::set<int> even =
+        ThetaIsolated(matcher.graph(), universe, sets[0], theta);
+    const std::set<int> odd =
+        ThetaIsolated(matcher.graph(), universe, sets[1], theta);
+    for (SourceId s : {SourceId{0}, universe.num_sources() - 1}) {
+      for (int a = 0; a < universe.source(s).schema().num_attributes(); ++a) {
+        const int dense = matcher.graph().DenseIndex(AttributeId{s, a});
+        moved += even.contains(dense) && !odd.contains(dense) ? 1 : 0;
+      }
+    }
   };
   auto alternate = [&] {
     for (double theta : {0.5, 0.75}) {
@@ -542,6 +597,7 @@ TEST(ClusterMatcherTest, ScratchReuseAcrossGraphsMatchesFreshMatcher) {
   ASSERT_TRUE(live.Apply(fresh).ok());
   ASSERT_EQ(live.graph().num_names(), names_before_add + 4);
   alternate();
+  EXPECT_GT(moved, 0) << "no attribute went from θ-isolated to touched";
 }
 
 }  // namespace

@@ -13,8 +13,11 @@
 // delta path (inline and on a thread pool) and through a disabled
 // DeltaEvaluator, which forwards to QualityBatch, must leave
 // num_evaluations / num_cache_hits identical, so eval budgets stop at the
-// same point.
+// same point. Two models that read the Match(S) schema (schema coverage,
+// and a LambdaQef beside F1) pin that the search scores them on the full
+// Match, not on the validity-and-F1 score call.
 // Replayable via UBE_PROPERTY_SEED / UBE_PROPERTY_ITERS (see TESTING.md).
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -375,6 +378,72 @@ TEST(DeltaPropertyTest, CacheAndCounterParityWithFullPath) {
       expect_counters_equal(round);
     }
   }
+}
+
+// Models whose QEFs read more of Match(S) than validity and F1: schema
+// coverage beside F1, Card and Coverage, and F1 beside a LambdaQef that
+// reads the schema. A search must score them on the full Match. On every
+// seeded flip, the delta path's ScoreNeighborhood, QualityBatch on a second
+// evaluator and the table-free ground truth (Match + MakeContext +
+// Evaluate) must agree bit for bit. Across the cases the schema-reading QEF
+// must score above 0 at least once, or an empty schema would pass.
+TEST(DeltaPropertyTest, SchemaReadingModelsScoreTheFullMatch) {
+  PropertyRunner runner("schema-reading-models", 20);
+  int schema_read = 0;
+  for (int c = 0; c < runner.num_cases(); ++c) {
+    SCOPED_TRACE(runner.Replay(c));
+    Rng rng = runner.CaseRng(c);
+    for (bool lambda : {false, true}) {
+      SCOPED_TRACE(lambda ? "F1 + lambda" : "schema coverage");
+      auto inst = std::make_unique<Instance>(DegradedUniverse(rng, c % 2 == 0));
+      inst->graph = std::make_unique<SimilarityGraph>(
+          inst->universe, MakeDefaultSimilarity(), 0.25);
+      inst->matcher =
+          std::make_unique<ClusterMatcher>(inst->universe, *inst->graph);
+      if (lambda) {
+        inst->model.AddQef(std::make_unique<MatchingQualityQef>(), 0.5);
+        inst->model.AddQef(
+            std::make_unique<LambdaQef>(
+                "schema-gas-count",
+                [](const EvalContext& ctx) {
+                  return std::min(1.0, ctx.match->schema.num_gas() / 4.0);
+                }),
+            0.5);
+      } else {
+        inst->model.AddQef(std::make_unique<SchemaCoverageQef>(), 0.4);
+        inst->model.AddQef(std::make_unique<MatchingQualityQef>(), 0.2);
+        inst->model.AddQef(std::make_unique<CardinalityQef>(), 0.2);
+        inst->model.AddQef(std::make_unique<CoverageQef>(), 0.2);
+      }
+      const int schema_qef = lambda ? 1 : 0;
+      inst->spec = testkit::GenerateSpec(rng, inst->universe);
+      inst->evaluator = std::make_unique<CandidateEvaluator>(
+          inst->universe, *inst->matcher, inst->model, inst->spec);
+      CandidateEvaluator batch_eval(inst->universe, *inst->matcher,
+                                    inst->model, inst->spec);
+      DeltaEvaluator delta(*inst->evaluator, true);
+      SearchState state(
+          *inst->evaluator,
+          testkit::GenerateCandidate(rng, inst->universe, inst->spec));
+      for (int f = 0; f < 12; ++f) {
+        SearchState::Move move;
+        if (!state.RandomMove(rng, &move)) break;
+        std::vector<SearchState::Move> moves = {move};
+        std::vector<std::vector<SourceId>> neighbors = {state.Apply(move)};
+        const std::vector<double> scored = delta.ScoreNeighborhood(
+            state.sources(), moves, neighbors, nullptr);
+        const std::vector<double> batch = batch_eval.QualityBatch(neighbors);
+        const QualityBreakdown truth = Reference(*inst, neighbors[0]);
+        EXPECT_EQ(scored[0], truth.overall) << "flip " << f;
+        EXPECT_EQ(batch[0], truth.overall) << "flip " << f;
+        if (truth.scores[static_cast<size_t>(schema_qef)] > 0.0) {
+          ++schema_read;
+        }
+        if (rng.Bernoulli(0.5)) state.Commit(move);
+      }
+    }
+  }
+  EXPECT_GT(schema_read, 0) << "no candidate had a nonempty schema";
 }
 
 }  // namespace
